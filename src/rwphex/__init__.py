@@ -27,8 +27,6 @@ from .marginals import (
 )
 from .distance import (
     CdfCurve,
-    QuadratureError,
-    QuadratureSpec,
     distance_cdf,
     distance_cdf_curve,
     product_mass_hexagon,

@@ -1,7 +1,7 @@
 """Command-line front end: analytic curves, simulation, and comparison.
 
 Exit codes: 0 success (or comparison pass), 1 comparison failure, 2 usage
-or input error, 3 numeric failure.
+or input error, including a NaN or infinite number.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import numpy as np
 
 from . import __version__
 from .hexgeom import SQRT3, HexRegion, Point2, RefNode
-from .distance import QuadratureError, QuadratureSpec, distance_cdf_curve
+from .distance import distance_cdf_curve
 from .marginals import axis_marginal
 from .sim import SimConfig, distances_to, simulate, uniform_node_distances
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_USAGE = 2
-EXIT_NUMERIC = 3
 
 
 def _fmt(v: float) -> str:
@@ -69,16 +68,11 @@ def cmd_marginals(args) -> int:
 def cmd_distance_cdf(args) -> int:
     started = time.monotonic()
     ref = RefNode(Point2(args.ref_x, args.ref_y))
-    spec = QuadratureSpec(abs_tol=args.tol)
-    try:
-        curve = distance_cdf_curve(ref, args.side, args.grid_n, spec)
-    except QuadratureError as exc:
-        print(f"error: {exc} (estimate {exc.estimate})", file=sys.stderr)
-        return EXIT_NUMERIC
+    curve = distance_cdf_curve(ref, args.side, args.grid_n)
     _write_csv(args.out, ("d", "cdf"), zip(curve.d_values, curve.cdf_values))
     _write_manifest(args.out, "distance-cdf",
                     {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
-                     "grid_n": args.grid_n, "tol": args.tol},
+                     "grid_n": args.grid_n},
                     started)
     return EXIT_OK
 
@@ -176,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-x", type=float, required=True)
     p.add_argument("--ref-y", type=float, required=True)
     p.add_argument("--grid-n", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distance_cdf)
 
@@ -223,9 +216,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

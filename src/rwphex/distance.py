@@ -1,57 +1,50 @@
 """Analytic CDF of the node-to-reference distance.
 
-The CDF is a ratio of integrals of the product density f_dX * f_dY over
+The CDF is a ratio of integrals of the product density f_X * f_Y over
 (hexagon intersect disk) and over the hexagon.  Because the hexagon is
 convex, each vertical slice of the integration region is an interval, so
-the inner integral over the y-offset is the exact difference of the
-stationary y-CDF at the interval ends.  Only a 1D adaptive quadrature over
-the x-offset remains; its integrand is piecewise smooth with kinks where
-the disk meets hexagon edges or marginal breakpoints, and those abscissae
-are inserted as initial subdivision points.
+the inner integral over y is the exact difference of the stationary y-CDF
+at the interval ends.  The outer integral runs over the x-offset
+dx = d sin(theta) from the reference node: in theta the disk's half-chord
+d cos(theta) has no square-root singularity, and the integrand is smooth
+between a fixed set of cut angles (the cell's x-range, the marginal
+breakpoints and the disk meeting a hexagon edge).  One fixed Gauss-Legendre
+rule on every cut interval therefore reaches rounding level, with no
+tolerance to choose.
+
+Every quantity is scale-invariant, so inputs are checked and rescaled to
+side 1 on entry; the internals work at side 1 only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, HexRegion, RefNode
+from .hexgeom import SQRT3, HexRegion, Point2, RefNode
 from .marginals import axis_marginal
 
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureError",
     "CdfCurve",
     "product_mass_hexagon",
     "distance_cdf",
     "distance_cdf_curve",
 ]
 
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_SPLIT = 2    # sub-panels per cut interval
+_BLOCK = 16   # d values per integrand evaluation; bounds the working set
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-6
-    max_subdivisions: int = 20
-    rule: str = "gauss15"
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions must be at least 4")
-        if self.rule != "gauss15":
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach tolerance; carries the estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+_UNIT = HexRegion(1.0)
+_VERTS = np.array(_UNIT.vertices())
+_EDGES = np.roll(_VERTS, -1, axis=0) - _VERTS
+# cell ends and x-marginal breakpoints; lines where the y-marginal or the
+# slice bounds change piece
+_X_BREAKS = np.array([0.0, 0.5, 1.5, 2.0])
+_Y_LINES = np.array([0.0, SQRT3 / 2, SQRT3])
 
 
 @dataclass(frozen=True)
@@ -62,150 +55,113 @@ class CdfCurve:
     side: float
 
 
-@lru_cache(maxsize=1)
-def _gauss15():
-    return np.polynomial.legendre.leggauss(15)
+def _rule(cuts):
+    """Nodes and weights of the fixed rule on the intervals between sorted cuts.
 
-
-def _adaptive_quad(f, lo: float, hi: float, cuts, spec: QuadratureSpec) -> float:
-    """Integrate a vectorized f over [lo, hi] to spec.abs_tol."""
-    if hi <= lo:
-        return 0.0
-    nodes, weights = _gauss15()
-
-    def gl(a, b):
-        half = 0.5 * (b - a)
-        return half * float(weights @ f(0.5 * (a + b) + half * nodes))
-
-    pts = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    total_width = hi - lo
-    stack = [(pts[i], pts[i + 1], gl(pts[i], pts[i + 1]), 0) for i in range(len(pts) - 1)]
-    acc = 0.0
-    err_left = 0.0
-    while stack:
-        a, b, whole, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        s1, s2 = gl(a, mid), gl(mid, b)
-        err = abs(s1 + s2 - whole)
-        if err <= spec.abs_tol * (b - a) / total_width or (b - a) < 1e-14 * total_width:
-            acc += s1 + s2
-        elif depth >= spec.max_subdivisions:
-            acc += s1 + s2
-            err_left += err
-        else:
-            stack.append((a, mid, s1, depth + 1))
-            stack.append((mid, b, s2, depth + 1))
-    if err_left > spec.abs_tol:
-        raise QuadratureError(
-            f"quadrature did not converge (residual error {err_left:.3e})", acc
-        )
-    return acc
-
-
-def _slice_bounds(x, a):
-    """y-range of the hexagon's vertical slice at coordinate x."""
-    ylo = SQRT3 * np.maximum(0.0, np.maximum(a / 2 - x, x - 3 * a / 2))
-    return ylo, SQRT3 * a - ylo
-
-
-def _circle_edge_cuts(ref: RefNode, region: HexRegion, d: float):
-    """x-offsets where the radius-d circle around ref crosses hexagon edges."""
-    x1, y1 = ref.pos
-    cuts = []
-    verts = region.vertices()
-    for i in range(6):
-        px, py = verts[i]
-        qx, qy = verts[(i + 1) % 6]
-        vx, vy = qx - px, qy - py
-        wx, wy = px - x1, py - y1
-        A = vx * vx + vy * vy
-        B = 2 * (vx * wx + vy * wy)
-        C = wx * wx + wy * wy - d * d
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            continue
-        r = math.sqrt(disc)
-        for t in ((-B - r) / (2 * A), (-B + r) / (2 * A)):
-            if 0.0 <= t <= 1.0:
-                cuts.append(px + t * vx - x1)
-    return cuts
-
-
-def _mass(ref: RefNode, a: float, d, spec: QuadratureSpec) -> float:
-    """Product-density mass on the hexagon, optionally cut by a radius-d disk.
-
-    Works in offset coordinates (dx, dy) = (x - x1, y - y1) so that the disk
-    is centered at the origin, exactly as the CDF definition requires.
+    ``cuts`` has shape (..., k + 1); both results have shape
+    (..., k * _SPLIT * 20).  Sums along the last axis stay row by row, so a
+    value does not depend on the other rows evaluated with it.
     """
-    x1, y1 = ref.pos
-    mx = axis_marginal("x", a)
-    my = axis_marginal("y", a)
-    f_x = mx.stationary_pdf
-    F_y = my.stationary_cdf
-    height = SQRT3 * a
-
-    lo = -x1
-    hi = 2 * a - x1
-    cuts = [c - x1 for c in (a / 2, 3 * a / 2)]
-    if d is not None:
-        lo = max(lo, -d)
-        hi = min(hi, d)
-        cuts.extend((-d, d))
-        for yc in (0.0, height / 2, height):
-            t = yc - y1
-            if abs(t) < d:
-                r = math.sqrt(d * d - t * t)
-                cuts.extend((-r, r))
-        cuts.extend(_circle_edge_cuts(ref, HexRegion(a), d))
-    if hi <= lo:
-        return 0.0
-
-    def integrand(dx):
-        x = np.clip(dx + x1, 0.0, 2 * a)
-        ylo, yhi = _slice_bounds(x, a)
-        if d is not None:
-            c = np.sqrt(np.maximum(d * d - dx * dx, 0.0))
-            ylo = np.maximum(ylo, y1 - c)
-            yhi = np.minimum(yhi, y1 + c)
-        w = F_y(np.clip(yhi, 0.0, height)) - F_y(np.clip(ylo, 0.0, height))
-        return f_x(x) * np.where(yhi > ylo, w, 0.0)
-
-    return _adaptive_quad(integrand, lo, hi, cuts, spec)
+    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
+    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, _SPLIT + 1)
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    half = 0.5 * (b - a)
+    shape = cuts.shape[:-1] + (-1,)
+    return ((0.5 * (a + b) + half * _NODES).reshape(shape),
+            (half * _WEIGHTS).reshape(shape))
 
 
-def product_mass_hexagon(ref: RefNode, a: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Mass of f_dX * f_dY on the hexagon; independent of ref up to quadrature."""
-    if not a > 0:
-        raise ValueError("side must be positive")
-    return _mass(ref, a, None, spec)
+def _slice_mass(x, ylo, yhi):
+    """f_X(x) times the f_Y mass of the slice [ylo, yhi] intersected with the cell."""
+    cell_lo = SQRT3 * np.maximum(0.0, np.maximum(0.5 - x, x - 1.5))
+    ys = np.maximum(ylo, cell_lo)
+    ye = np.minimum(yhi, SQRT3 - cell_lo)
+    F_y = axis_marginal("y", 1.0).stationary_cdf
+    w = F_y(np.clip(ye, 0.0, SQRT3)) - F_y(np.clip(ys, 0.0, SQRT3))
+    return axis_marginal("x", 1.0).stationary_pdf(x) * np.where(ye > ys, w, 0.0)
 
 
-def distance_cdf(ref: RefNode, a: float, d: float,
-                 spec: QuadratureSpec = QuadratureSpec()) -> float:
+@cache
+def _hexagon_mass() -> float:
+    """Mass of f_X * f_Y on the unit hexagon.
+
+    On each of the three x-panels the integrand is a polynomial of degree 9,
+    which the rule integrates exactly.
+    """
+    x, w = _rule(_X_BREAKS)
+    return float(w @ _slice_mass(x, -np.inf, np.inf))
+
+
+def _disk_mass(x1: float, y1: float, d):
+    """Mass of f_X * f_Y on hexagon intersect disk(ref, d) for each d > 0."""
+    d = np.asarray(d, dtype=float)[:, None]
+    w = _VERTS - (x1, y1)
+    # A cut is NaN where its crossing does not exist; overflow at extreme
+    # scales also ends in NaN or a cut outside [t_lo, t_hi].
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.arcsin(np.clip((_X_BREAKS - x1) / d, -1.0, 1.0))
+        # the circle meets the line y = y_c where cos(theta) = |y_c - y1| / d
+        ys = np.arccos(np.abs(_Y_LINES - y1) / d)
+        # and edge P + t V where |P - ref + t V| = d with 0 <= t <= 1
+        b = np.sum(_EDGES * w, axis=1)
+        A = np.sum(_EDGES * _EDGES, axis=1)
+        root = np.sqrt(b * b - A * (np.sum(w * w, axis=1) - d * d))
+        t = np.concatenate(((-b - root) / A, (-b + root) / A), axis=1)
+        t[(t < 0.0) | (t > 1.0)] = np.nan
+        edge = np.arcsin((np.tile(w[:, 0], 2) + t * np.tile(_EDGES[:, 0], 2)) / d)
+    # fmax/fmin skip NaN, so an absent cut collapses onto t_lo
+    t_lo, t_hi = xs[:, :1], xs[:, -1:]
+    cuts = np.fmin(np.fmax(np.concatenate((xs, ys, -ys, edge), axis=1), t_lo), t_hi)
+    theta, weight = _rule(np.sort(cuts, axis=-1))
+    c = d * np.cos(theta)
+    x = np.clip(x1 + d * np.sin(theta), 0.0, 2.0)
+    return np.sum(weight * c * _slice_mass(x, y1 - c, y1 + c), axis=-1)
+
+
+def _cdf(x1: float, y1: float, d):
+    """Distance CDF at side 1 for each distance in the array d."""
+    d_min, d_max = _UNIT.distance_extremes(RefNode(Point2(x1, y1)))
+    out = np.where(d >= d_max, 1.0, 0.0)
+    inner = np.flatnonzero((d > d_min) & (d < d_max))
+    for i in range(0, inner.size, _BLOCK):
+        idx = inner[i:i + _BLOCK]
+        out[idx] = np.clip(_disk_mass(x1, y1, d[idx]) / _hexagon_mass(), 0.0, 1.0)
+    return out
+
+
+def _unit_ref(ref: RefNode, a: float) -> tuple[float, float]:
+    """Check the side and the reference node; return the node at side 1."""
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError("side must be positive and finite")
+    x, y = ref.pos
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("reference node coordinates must be finite")
+    x1, y1 = x / a, y / a
+    # distances from the node must be finite at the caller's scale and at side 1
+    if not (math.isfinite(math.hypot(x, y)) and math.isfinite(math.hypot(x1, y1))):
+        raise ValueError("reference node is too far from a cell of this side")
+    return x1, y1
+
+
+def product_mass_hexagon(ref: RefNode, a: float) -> float:
+    """Mass of f_X * f_Y on the hexagon: one constant for every ref and side."""
+    _unit_ref(ref, a)
+    return _hexagon_mass()
+
+
+def distance_cdf(ref: RefNode, a: float, d: float) -> float:
     """P(distance to ref < d) for the stationary mobile node."""
-    if not a > 0:
-        raise ValueError("side must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    denom = _mass(ref, a, None, spec)
-    return _ratio(_mass(ref, a, d, spec), denom, spec)
+    x1, y1 = _unit_ref(ref, a)
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError("d must be nonnegative and finite")
+    return float(_cdf(x1, y1, np.array([d / a], dtype=float))[0])
 
 
-def _ratio(num: float, denom: float, spec: QuadratureSpec) -> float:
-    value = num / denom
-    if value < -spec.abs_tol or value > 1 + spec.abs_tol:
-        raise QuadratureError(f"CDF estimate {value} escapes [0, 1]", value)
-    return min(1.0, max(0.0, value))
-
-
-def distance_cdf_curve(ref: RefNode, a: float, n_points: int,
-                       spec: QuadratureSpec = QuadratureSpec()) -> CdfCurve:
+def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    region = HexRegion(a)
-    d_min, d_max = region.distance_extremes(ref)
-    denom = _mass(ref, a, None, spec)
+    x1, y1 = _unit_ref(ref, a)
+    d_min, d_max = _UNIT.distance_extremes(RefNode(Point2(x1, y1)))
     grid = np.linspace(d_min, d_max, n_points)
-    values = np.array([_ratio(_mass(ref, a, d, spec), denom, spec) for d in grid])
-    return CdfCurve(d_values=grid, cdf_values=values, ref=ref, side=a)
+    return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid), ref=ref, side=a)

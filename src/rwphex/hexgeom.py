@@ -99,11 +99,6 @@ class HexRegion:
             & (np.abs(SQRT3 * X - Y) <= q + tol)
         )
 
-    def sample_uniform(self, rng: np.random.Generator) -> Point2:
-        """One point uniform over the hexagon (rejection from bounding box)."""
-        x, y = self.sample_uniform_batch(1, rng)[0]
-        return Point2(float(x), float(y))
-
     def sample_uniform_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, 2) array of uniform points; acceptance rate is 3/4."""
         if n < 0:

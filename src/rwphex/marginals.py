@@ -16,6 +16,7 @@ back by argument scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -100,12 +101,14 @@ class AxisMarginal:
     expected_leg: float
 
 
-@lru_cache(maxsize=None)
+# Bounded: a caller that sweeps many side lengths must not grow memory
+# without limit, and a repeated side still finds its tables.
+@lru_cache(maxsize=128)
 def axis_marginal(axis: str, side: float) -> AxisMarginal:
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    if not side > 0:
-        raise ValueError("side must be positive")
+    if not (side > 0 and math.isfinite(side)):
+        raise ValueError("side must be positive and finite")
     tab = _canonical(axis)
     # coordinate scale from the canonical variable to the real one
     alpha = side if axis == "x" else SQRT3 * side

@@ -34,9 +34,11 @@ class SimConfig:
     duration: float
     sample_interval: float = 1.0
     seed: int = 0
-    pause_time: float = 0.0
 
     def __post_init__(self):
+        for name in ("side", "v_min", "v_max", "duration", "sample_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.side > 0:
             raise ValueError("side must be positive")
         if not (0 < self.v_min <= self.v_max):
@@ -45,8 +47,6 @@ class SimConfig:
             raise ValueError("sample_interval must be positive")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.pause_time != 0:
-            raise ValueError("nonzero pause time is not supported")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the closed-form branch polynomials in
 the package: leg-length expectations are re-done with fixed-order 2D
 Gauss-Legendre quadrature from the waypoint densities and min/max segment
-logic, and distance-CDF values come from rejection-sampled Monte Carlo.
+logic, and distance-CDF values come from rejection-sampled Monte Carlo and
+from nested adaptive quadrature (scipy) of the stationary densities over
+hexagon ∩ disk, in x and y rather than the library's angle variable.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -137,3 +140,94 @@ def mc_distance_cdf(cloud, ref, d):
     p = float((dist < d).mean())
     se = math.sqrt(max(p * (1 - p), 1e-12) / len(xs))
     return p, se
+
+
+# ---------------------------------------------------------------------------
+# nested adaptive quadrature oracle for the distance CDF
+
+def _hex_slice(x):
+    """y-range of the unit hexagon's vertical slice at x."""
+    lo = SQRT3 * max(0.0, 0.5 - x, x - 1.5)
+    return lo, SQRT3 - lo
+
+
+def _disk_kinks(ref, d):
+    """x-coordinates where unit hexagon ∩ disk has a kink in its slice bounds."""
+    x1, y1 = ref
+    xs = [0.5, 1.5, x1 - d, x1 + d]
+    for yc in (0.0, SQRT3 / 2, SQRT3):
+        if abs(yc - y1) < d:
+            h = math.sqrt(d * d - (yc - y1) ** 2)
+            xs += [x1 - h, x1 + h]
+    verts = [(0.0, SQRT3 / 2), (0.5, 0.0), (1.5, 0.0),
+             (2.0, SQRT3 / 2), (1.5, SQRT3), (0.5, SQRT3)]
+    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+        # |p + t (q - p) - ref|^2 = d^2 as a quadratic in t
+        coeffs = [(qx - px) ** 2 + (qy - py) ** 2,
+                  2 * ((qx - px) * (px - x1) + (qy - py) * (py - y1)),
+                  (px - x1) ** 2 + (py - y1) ** 2 - d * d]
+        for t in np.roots(coeffs):
+            if abs(t.imag) < 1e-12 and 0.0 <= t.real <= 1.0:
+                xs.append(float(px + t.real * (qx - px)))
+    # one crossing found twice (a line and an edge) must not leave a sliver
+    kinks = []
+    for x in sorted(x for x in xs if 0.0 < x < 2.0):
+        if not kinks or x - kinks[-1] > 1e-12:
+            kinks.append(x)
+    return kinks
+
+
+def _pointwise(pp):
+    """Scalar Horner evaluator of a piecewise polynomial, for quad's many calls."""
+    breaks = pp.breakpoints.tolist()
+    pieces = [c.tolist()[::-1] for c in pp.coeffs]
+
+    def f(t):
+        i = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(pieces) - 1)
+        v = 0.0
+        for c in pieces[i]:
+            v = v * t + c
+        return v
+
+    return f
+
+
+def quad_product_mass(ref=None, d=None):
+    """f_X * f_Y mass on the hexagon, or on hexagon ∩ disk(ref, d), by nested quad.
+
+    The outer integral over x is split at every kink of the slice bounds, and
+    the inner integral over y at the y-marginal's breakpoint.
+    """
+    from scipy.integrate import quad
+
+    import rwphex as rp
+
+    f_x = _pointwise(rp.axis_marginal("x", 1.0).stationary_pdf)
+    f_y = _pointwise(rp.axis_marginal("y", 1.0).stationary_pdf)
+    tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+
+    def inner(x):
+        lo, hi = _hex_slice(x)
+        if d is not None:
+            c = math.sqrt(max(d * d - (x - ref[0]) ** 2, 0.0))
+            lo, hi = max(lo, ref[1] - c), min(hi, ref[1] + c)
+        if hi <= lo:
+            return 0.0
+        if hi - lo < 1e-9:  # quad reports round-off on slivers; midpoint is exact enough
+            return f_x(x) * f_y(0.5 * (lo + hi)) * (hi - lo)
+        pts = [SQRT3 / 2] if lo < SQRT3 / 2 < hi else None
+        return f_x(x) * quad(f_y, lo, hi, points=pts, **tol)[0]
+
+    if d is None:
+        lo, hi, kinks = 0.0, 2.0, [0.5, 1.5]
+    else:
+        lo, hi = max(0.0, ref[0] - d), min(2.0, ref[0] + d)
+        kinks = [x for x in _disk_kinks(ref, d) if lo < x < hi]
+    if hi <= lo:
+        return 0.0
+    return quad(inner, lo, hi, points=kinks or None, **tol)[0]
+
+
+def quad_distance_cdf(ref, d):
+    """Distance CDF at side 1 as a ratio of two nested-quad masses."""
+    return quad_product_mass(ref, d) / quad_product_mass()

@@ -77,6 +77,16 @@ class TestDistanceCdfCommand:
         _, data = read_csv(out)
         assert data[0, 0] > 1.9
 
+    def test_nan_reference_is_usage_error(self, tmp_path):
+        # a NaN reference used to send the quadrature into an unbounded loop
+        result = subprocess.run(
+            [sys.executable, "-m", "rwphex.cli", "distance-cdf", "--ref-x", "nan",
+             "--ref-y", "0", "--grid-n", "5", "--out", str(tmp_path / "cdf.csv")],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 2
+        assert not (tmp_path / "cdf.csv").exists()
+
 
 class TestSimulateCommand:
     def test_small_run(self, tmp_path):
@@ -102,6 +112,12 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         rc = main(["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "10",
                    "--v-min", "0", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+
+    def test_infinite_speed_is_usage_error(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "10",
+                   "--v-max", "inf", "--seed", "1", "--out", str(out)])
         assert rc == 2
 
 

@@ -1,33 +1,42 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
-from rwphex.distance import QuadratureSpec, _mass
+from rwphex.distance import _disk_mass, _hexagon_mass
 
-from conftest import mc_distance_cdf
+from conftest import mc_distance_cdf, quad_distance_cdf
 
 CENTER = RefNode(Point2(1.0, SQRT3 / 2))
 ORIGIN = RefNode(Point2(0.0, 0.0))
 VERTEX = RefNode(Point2(0.5, 0.0))
 FAR = RefNode(Point2(3.0, 3.0))
+PAPER_NODES = {"corner": ORIGIN, "centre": CENTER, "vertex": VERTEX, "exterior": FAR}
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-6
-        assert spec.max_subdivisions == 20
+def run_bounded(statement, timeout=10):
+    """Run one library call in a fresh interpreter; print its result or error type.
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=2)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rule="trapezoid")
+    A call that used to loop without bound fails the test by timing out
+    instead of hanging the suite.
+    """
+    code = ("import math, rwphex as rp\n"
+            "from rwphex.hexgeom import Point2, RefNode\n"
+            "nan, inf = math.nan, math.inf\n"
+            f"try:\n    print(repr({statement}))\n"
+            "except ValueError:\n    print('ValueError')\n")
+    src = os.path.dirname(os.path.dirname(rp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 class TestProductMass:
@@ -119,10 +128,60 @@ class TestDistanceCdfCurve:
             lone = rp.distance_cdf(VERTEX, 1.0, float(curve.d_values[i]))
             assert lone == curve.cdf_values[i]
 
+    def test_blocks_match_single_values(self):
+        # a grid spans several evaluation blocks; each value is still its own
+        curve = rp.distance_cdf_curve(CENTER, 1.0, 50)
+        for i in (0, 17, 33, 48, 49):
+            assert rp.distance_cdf(CENTER, 1.0, float(curve.d_values[i])) == curve.cdf_values[i]
+
 
 class TestMassInternals:
     def test_disk_none_equals_large_disk(self):
-        spec = QuadratureSpec()
-        full = _mass(CENTER, 1.0, None, spec)
-        big = _mass(CENTER, 1.0, 10.0, spec)
+        full = _hexagon_mass()
+        big = _disk_mass(*CENTER.pos, np.array([10.0]))[0]
         assert big == pytest.approx(full, abs=1e-8)
+
+
+class TestQuadOracle:
+    @pytest.mark.parametrize("name", PAPER_NODES)
+    def test_matches_nested_quad(self, name):
+        ref = PAPER_NODES[name]
+        d_min, d_max = HexRegion(1.0).distance_extremes(ref)
+        for frac in (0.3, 0.7):
+            d = d_min + frac * (d_max - d_min)
+            assert abs(rp.distance_cdf(ref, 1.0, d) - quad_distance_cdf(ref.pos, d)) <= 1e-12
+
+
+class TestExactEnds:
+    def test_far_reference_at_extremes(self):
+        ref = RefNode(Point2(1e8, 1e8))
+        d_min, d_max = HexRegion(1.0).distance_extremes(ref)
+        assert rp.distance_cdf(ref, 1.0, d_max) == 1.0
+        assert rp.distance_cdf(ref, 1.0, d_min) == 0.0
+
+    @pytest.mark.parametrize("name", PAPER_NODES)
+    def test_curve_ends(self, name):
+        curve = rp.distance_cdf_curve(PAPER_NODES[name], 2.5, 5)
+        assert curve.cdf_values[0] == 0.0
+        assert curve.cdf_values[-1] == 1.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("statement", [
+        "rp.distance_cdf(RefNode(Point2(nan, 0.0)), 1.0, 0.5)",
+        "rp.distance_cdf(RefNode(Point2(0.0, inf)), 1.0, 0.5)",
+        "rp.distance_cdf(RefNode(Point2(0.0, 0.0)), nan, 0.5)",
+        "rp.distance_cdf(RefNode(Point2(0.0, 0.0)), inf, 0.5)",
+        "rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1.0, nan)",
+        "rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1.0, inf)",
+        "rp.distance_cdf_curve(RefNode(Point2(nan, 0.0)), 1.0, 5)",
+        "rp.distance_cdf_curve(RefNode(Point2(0.0, 0.0)), inf, 5)",
+        "rp.product_mass_hexagon(RefNode(Point2(nan, 0.0)), 1.0)",
+        "rp.product_mass_hexagon(RefNode(Point2(0.0, 0.0)), inf)",
+    ])
+    def test_rejected(self, statement):
+        assert run_bounded(statement) == "ValueError"
+
+    def test_tiny_scale_returns(self):
+        got = float(run_bounded("rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1e-200, 1e-200)"))
+        assert got == pytest.approx(rp.distance_cdf(ORIGIN, 1.0, 1.0), abs=1e-12)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestExpectedLeg:
             rp.expected_leg_x(0.0)
         with pytest.raises(ValueError):
             rp.expected_leg_y(-2.0)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("side", [math.inf, math.nan])
+    def test_non_finite_side(self, axis, side):
+        with pytest.raises(ValueError, match="side"):
+            rp.axis_marginal(axis, side)
 
 
 class TestPartialLeg:

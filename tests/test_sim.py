@@ -20,8 +20,14 @@ class TestSimConfig:
             rp.SimConfig(side=1.0, v_min=0.05, v_max=0.01, duration=10)
         with pytest.raises(ValueError):
             rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10, sample_interval=0)
+
+    @pytest.mark.parametrize("field", ["side", "v_min", "v_max", "duration", "sample_interval"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(side=1.0, v_min=0.01, v_max=0.05, duration=10.0, sample_interval=1.0)
+        fields[field] = value
         with pytest.raises(ValueError):
-            rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10, pause_time=1.0)
+            rp.SimConfig(**fields)
 
 
 class TestSimulate:

@@ -5,7 +5,7 @@ Analytic per-axis marginals and the distance CDF live alongside a seeded
 RWP simulator so each side can validate the other.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .hexgeom import HexRegion, Point2, RefNode, SQRT3
 from .piecewise import DomainError, PiecewisePolynomial

@@ -27,12 +27,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write_csv(path, header, rows):
+_CSV_CHUNK = 1 << 14  # rows formatted per write
+
+
+def _write_csv(path, header, *columns):
+    """Write equal-length columns as CSV rows, each value as ``_fmt`` gives it."""
+    table = np.column_stack(columns).astype(float)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"  # same text as _fmt
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo in range(0, len(table), _CSV_CHUNK):
+                chunk = table[lo:lo + _CSV_CHUNK]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc}") from exc
 
@@ -57,8 +64,8 @@ def cmd_marginals(args) -> int:
     m = axis_marginal(args.axis, args.side)
     hi = 2 * args.side if args.axis == "x" else SQRT3 * args.side
     grid = np.linspace(0.0, hi, args.grid_n)
-    rows = [(t, m.stationary_pdf(t), m.stationary_cdf(t)) for t in grid]
-    _write_csv(args.out, ("coord", "pdf", "cdf"), rows)
+    _write_csv(args.out, ("coord", "pdf", "cdf"),
+               grid, m.stationary_pdf(grid), m.stationary_cdf(grid))
     _write_manifest(args.out, "marginals",
                     {"side": args.side, "axis": args.axis, "grid_n": args.grid_n},
                     started)
@@ -69,7 +76,7 @@ def cmd_distance_cdf(args) -> int:
     started = time.monotonic()
     ref = RefNode(Point2(args.ref_x, args.ref_y))
     curve = distance_cdf_curve(ref, args.side, args.grid_n)
-    _write_csv(args.out, ("d", "cdf"), zip(curve.d_values, curve.cdf_values))
+    _write_csv(args.out, ("d", "cdf"), curve.d_values, curve.cdf_values)
     _write_manifest(args.out, "distance-cdf",
                     {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
                      "grid_n": args.grid_n},
@@ -78,9 +85,9 @@ def cmd_distance_cdf(args) -> int:
 
 
 def _ecdf_rows(samples):
-    values, counts = np.unique(np.sort(samples), return_counts=True)
-    frac = np.cumsum(counts) / len(samples)
-    return zip(values, frac)
+    """Distinct sample values and #(samples <= value) / n at each."""
+    values, counts = np.unique(samples, return_counts=True)
+    return values, np.cumsum(counts) / len(samples)
 
 
 def cmd_simulate(args) -> int:
@@ -90,11 +97,12 @@ def cmd_simulate(args) -> int:
                        seed=args.seed)
     trace = simulate(config)
     dists = distances_to(trace, RefNode(Point2(args.ref_x, args.ref_y)))
-    _write_csv(args.out, ("d", "ecdf"), _ecdf_rows(dists))
+    _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
     _write_manifest(args.out, "simulate",
                     {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
                      "v_min": args.v_min, "v_max": args.v_max,
-                     "duration": args.duration, "dt": args.dt, "seed": args.seed},
+                     "duration": args.duration, "dt": args.dt, "seed": args.seed,
+                     "legs": len(trace.waypoints) - 1, "samples": len(trace)},
                     started)
     return EXIT_OK
 
@@ -105,7 +113,7 @@ def cmd_baseline(args) -> int:
     dists = uniform_node_distances(HexRegion(args.side),
                                    RefNode(Point2(args.ref_x, args.ref_y)),
                                    args.n, rng)
-    _write_csv(args.out, ("d", "ecdf"), _ecdf_rows(dists))
+    _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
     _write_manifest(args.out, "baseline",
                     {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
                      "n": args.n, "seed": args.seed},

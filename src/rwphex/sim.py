@@ -1,8 +1,18 @@
 """Random-waypoint simulator in the hexagon and empirical-CDF tooling.
 
-Legs are generated sequentially (each start is the previous destination);
-positions are then sampled at exact multiples of the sample interval by
-interpolating along the active leg.  The seed fully determines a trace.
+Legs are generated in blocks of ``LEG_BLOCK``: one call draws the block's
+destinations and one its speeds, each leg starts at the previous kept
+destination, and a cumulative sum of the leg durations gives the start
+times.  Zero-length legs are dropped, and legs that start at or after the
+duration are discarded, so the last block wastes at most ``LEG_BLOCK - 1``
+draws.  Positions are then sampled at exact multiples of the sample
+interval by interpolating along the active leg.
+
+The seed fully determines a trace.  Because the random stream is consumed a
+block at a time, ``LEG_BLOCK`` is part of the seed-to-trace mapping: another
+block size gives another trace from the same seed, with the same
+distribution.  A configuration projected to need more than ``MAX_LEGS`` legs
+raises ``ValueError`` instead of running.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ __all__ = [
     "uniform_node_distances",
     "ks_statistic",
 ]
+
+LEG_BLOCK = 4096  # legs drawn per block; part of the seed-to-trace mapping
+MAX_LEGS = 10**7  # a simulation projected to need more legs is refused
 
 
 @dataclass(frozen=True)
@@ -66,44 +79,56 @@ class Trace:
         return len(self.positions)
 
 
+def _legs(config: SimConfig, rng: np.random.Generator):
+    """``(waypoints, starts, durations)`` of the legs that cover ``config.duration``.
+
+    Leg k runs from ``waypoints[k]`` to ``waypoints[k + 1]``, leaving at
+    ``starts[k]`` and taking ``durations[k] > 0``; each leg starts when the
+    previous one ends, and only the last leg ends at or after the duration.
+    """
+    region = HexRegion(config.side)
+    origin = region.sample_uniform_batch(1, rng)
+    dests, starts, durs = [origin], [np.empty(0)], [np.empty(0)]
+    t, drawn = 0.0, 0
+    while t < config.duration:
+        block = region.sample_uniform_batch(LEG_BLOCK, rng)
+        speed = rng.uniform(config.v_min, config.v_max, LEG_BLOCK)
+        drawn += LEG_BLOCK
+        with np.errstate(over="ignore"):  # a leg too slow for a float lasts forever
+            dur = np.hypot(*np.diff(np.concatenate((origin, block)), axis=0).T) / speed
+        # a destination that equals its origin also equals the last kept one,
+        # so dropping its leg leaves every later leg unchanged
+        keep = dur > 0
+        block, dur = block[keep], dur[keep]
+        clock = np.cumsum(np.concatenate(([t], dur)))
+        n = np.searchsorted(clock[:-1], config.duration)  # legs starting before the end
+        if n:
+            dests.append(block[:n])
+            starts.append(clock[:n])
+            durs.append(dur[:n])
+            origin, t = block[n - 1:n], float(clock[n])
+        # project the leg count from the time simulated so far
+        if t < config.duration and drawn * config.duration > MAX_LEGS * t:
+            raise ValueError(f"simulation would need more than {MAX_LEGS} legs")
+    return np.concatenate(dests), np.concatenate(starts), np.concatenate(durs)
+
+
 def simulate(config: SimConfig) -> Trace:
     """Run one RWP trace and sample it on the fixed clock grid."""
     rng = np.random.default_rng(config.seed)
-    region = HexRegion(config.side)
     n_samples = math.floor(config.duration / config.sample_interval) + 1
+    waypoints, t0s, durs = _legs(config, rng)
+    if not len(t0s):
+        positions = np.tile(waypoints[0], (n_samples, 1))
+        return Trace(positions=positions, waypoints=waypoints, config=config)
 
-    pos = region.sample_uniform_batch(1, rng)[0]
-    waypoints = [pos]
-    starts, vecs, t0s, inv_durs = [], [], [], []
-    t = 0.0
-    while t < config.duration:
-        dest = region.sample_uniform_batch(1, rng)[0]
-        speed = rng.uniform(config.v_min, config.v_max)
-        leg = dest - pos
-        leg_dur = float(np.hypot(*leg)) / speed
-        if leg_dur <= 0.0:
-            continue  # coincident waypoint; pick again
-        starts.append(pos)
-        vecs.append(leg)
-        t0s.append(t)
-        inv_durs.append(1.0 / leg_dur)
-        waypoints.append(dest)
-        t += leg_dur
-        pos = dest
-
-    if not starts:
-        positions = np.tile(pos, (n_samples, 1))
-        return Trace(positions=positions, waypoints=np.asarray(waypoints), config=config)
-
-    starts = np.asarray(starts)
-    vecs = np.asarray(vecs)
-    t0s = np.asarray(t0s)
-    inv_durs = np.asarray(inv_durs)
+    vecs = np.diff(waypoints, axis=0)
+    inv_durs = 1.0 / durs
     times = np.arange(n_samples) * config.sample_interval
     idx = np.clip(np.searchsorted(t0s, times, side="right") - 1, 0, len(t0s) - 1)
     frac = np.minimum((times - t0s[idx]) * inv_durs[idx], 1.0)
-    positions = starts[idx] + frac[:, None] * vecs[idx]
-    return Trace(positions=positions, waypoints=np.asarray(waypoints), config=config)
+    positions = waypoints[idx] + frac[:, None] * vecs[idx]
+    return Trace(positions=positions, waypoints=waypoints, config=config)
 
 
 def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
@@ -115,7 +140,10 @@ def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
 
 
 class EmpiricalCdf:
-    """Step function F(d) = (#samples < d) / n (strict-less convention)."""
+    """Right-continuous step function F(d) = (#samples <= d) / n.
+
+    This is the convention of the CLI's ``d,ecdf`` tables, whose last row is 1.
+    """
 
     __slots__ = ("sorted_samples",)
 
@@ -123,13 +151,15 @@ class EmpiricalCdf:
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise ValueError("need at least one sample")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite")
         self.sorted_samples = arr
 
     def __len__(self):
         return self.sorted_samples.size
 
     def __call__(self, d):
-        pos = np.searchsorted(self.sorted_samples, d, side="left")
+        pos = np.searchsorted(self.sorted_samples, d, side="right")
         out = pos / self.sorted_samples.size
         return float(out) if np.ndim(d) == 0 else out
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rwphex.cli import main
+from rwphex.cli import _write_csv, main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -88,6 +88,19 @@ class TestDistanceCdfCommand:
         assert not (tmp_path / "cdf.csv").exists()
 
 
+def test_csv_writer_matches_per_value_format(tmp_path):
+    special = [-0.0, 5e-324, 1e-300, 1 / 3, 1.0, 0.1, -2.5e17, 123456789.0]
+    rng = np.random.default_rng(1)
+    # longer than one write chunk
+    a = np.concatenate((special, rng.standard_normal(1 << 14)))
+    b = np.concatenate((special[::-1], rng.uniform(0.0, 1e-8, 1 << 14)))
+    out = tmp_path / "t.csv"
+    _write_csv(out, ("a", "b"), a, b)
+    expected = "a,b\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')}\n"
+                                   for x, y in zip(a.tolist(), b.tolist()))
+    assert out.read_bytes() == expected.encode()
+
+
 class TestSimulateCommand:
     def test_small_run(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -113,6 +126,26 @@ class TestSimulateCommand:
         rc = main(["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "10",
                    "--v-min", "0", "--seed", "1", "--out", str(out)])
         assert rc == 2
+
+    def test_manifest_counts(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "10",
+                     "--seed", "5", "--out", str(out)]) == 0
+        lines = (tmp_path / "sim.csv.manifest").read_text().splitlines()
+        fields = dict(line.split("=", 1) for line in lines)
+        assert int(fields["legs"]) >= 1
+        assert fields["samples"] == "11"
+
+    def test_unbounded_simulation_is_usage_error(self, tmp_path):
+        # about 10**302 legs: refused instead of looping for ever
+        result = subprocess.run(
+            [sys.executable, "-m", "rwphex.cli", "simulate", "--side", "1e-300",
+             "--ref-x", "0", "--ref-y", "0", "--duration", "100", "--seed", "1",
+             "--out", str(tmp_path / "sim.csv")],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 2
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_infinite_speed_is_usage_error(self, tmp_path):
         out = tmp_path / "sim.csv"

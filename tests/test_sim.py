@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import rwphex as rp
+from rwphex import sim
+from rwphex.cli import _ecdf_rows
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 
 
@@ -72,6 +76,107 @@ class TestSimulate:
         assert scipy_stats.chi2.sf(stat, 11) > 0.001
 
 
+def per_leg_reference(config):
+    """One leg per iteration, drawing each destination and speed on its own."""
+    rng = np.random.default_rng(config.seed)
+    region = HexRegion(config.side)
+    n_samples = math.floor(config.duration / config.sample_interval) + 1
+    pos = region.sample_uniform_batch(1, rng)[0]
+    waypoints, starts, vecs, t0s, inv_durs = [pos], [], [], [], []
+    t = 0.0
+    while t < config.duration:
+        dest = region.sample_uniform_batch(1, rng)[0]
+        speed = rng.uniform(config.v_min, config.v_max)
+        leg = dest - pos
+        leg_dur = float(np.hypot(*leg)) / speed
+        if leg_dur <= 0.0:
+            continue
+        starts.append(pos)
+        vecs.append(leg)
+        t0s.append(t)
+        inv_durs.append(1.0 / leg_dur)
+        waypoints.append(dest)
+        t += leg_dur
+        pos = dest
+    starts, vecs = np.asarray(starts), np.asarray(vecs)
+    t0s, inv_durs = np.asarray(t0s), np.asarray(inv_durs)
+    times = np.arange(n_samples) * config.sample_interval
+    idx = np.clip(np.searchsorted(t0s, times, side="right") - 1, 0, len(t0s) - 1)
+    frac = np.minimum((times - t0s[idx]) * inv_durs[idx], 1.0)
+    return starts[idx] + frac[:, None] * vecs[idx], np.asarray(waypoints)
+
+
+def on_segment(p, a, b, tol=1e-12):
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx, aby, apx, apy = bx - ax, by - ay, px - ax, py - ay
+    u = min(max((apx * abx + apy * aby) / (abx * abx + aby * aby), 0.0), 1.0)
+    return math.hypot(apx - u * abx, apy - u * aby) <= tol
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """A trace of about 6,000 legs, so more than one block of legs."""
+    return rp.simulate(paper_config(seed=2024, duration=2e5))
+
+
+class TestLegBlocks:
+    def test_spans_several_blocks(self, long_trace):
+        assert len(long_trace.waypoints) - 1 > sim.LEG_BLOCK
+
+    def test_speed_bound(self, long_trace):
+        step = np.hypot(*np.diff(long_trace.positions, axis=0).T)
+        assert step.max() <= 0.05 * 1.0 * (1 + 1e-12)
+
+    def test_samples_on_waypoint_segments(self, long_trace):
+        w, k = long_trace.waypoints.tolist(), 0
+        for p in long_trace.positions.tolist():
+            while not on_segment(p, w[k], w[k + 1]):
+                k += 1
+                assert k < len(w) - 1, "sample off every later leg"
+        assert on_segment(long_trace.positions[-1], w[-2], w[-1])
+
+    @pytest.mark.parametrize("duration", [0.5, 30.0, 1e4, 2e5])
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_legs_cover_duration(self, duration, seed):
+        config = paper_config(seed=seed, duration=duration)
+        waypoints, starts, durs = sim._legs(config, np.random.default_rng(seed))
+        assert len(waypoints) == len(starts) + 1 == len(durs) + 1
+        assert starts[0] == 0.0 and np.all(durs > 0)
+        assert np.array_equal(starts[1:], starts[:-1] + durs[:-1])
+        assert starts[-1] < duration <= starts[-1] + durs[-1]
+        assert np.array_equal(rp.simulate(config).waypoints, waypoints)
+
+    def test_seed_determinism(self, long_trace):
+        again = rp.simulate(long_trace.config)
+        assert np.array_equal(again.positions, long_trace.positions)
+        assert np.array_equal(again.waypoints, long_trace.waypoints)
+
+    @pytest.mark.parametrize("seed", [42, 999])
+    def test_one_leg_blocks_match_per_leg_reference(self, monkeypatch, seed):
+        config = paper_config(seed=seed, duration=3000)
+        positions, waypoints = per_leg_reference(config)
+        monkeypatch.setattr(sim, "LEG_BLOCK", 1)
+        trace = rp.simulate(config)
+        assert np.array_equal(trace.positions, positions)
+        assert np.array_equal(trace.waypoints, waypoints)
+
+
+class TestBoundedWork:
+    @pytest.mark.parametrize("fields", [
+        "side=1e-300, duration=100.0",  # about 10**302 legs
+        "side=5e-324, duration=100.0",  # every leg has zero duration
+        "side=1.0, duration=1e9",  # about 3e7 legs
+    ])
+    def test_unbounded_leg_count_rejected(self, fields):
+        code = ("import rwphex as rp\n"
+                f"config = rp.SimConfig(v_min=0.01, v_max=0.05, {fields})\n"
+                "try:\n    rp.simulate(config)\n"
+                "except ValueError:\n    print('ValueError')\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=10)
+        assert result.stdout.strip() == "ValueError", result.stderr
+
+
 class TestDistancesTo:
     def test_reference_at_sample(self):
         trace = rp.simulate(paper_config(duration=10))
@@ -101,12 +206,22 @@ class TestEmpiricalCdf:
 
     def test_ties(self):
         emp = rp.ecdf([5.0, 5.0, 5.0])
-        assert emp(5.0) == 0.0
+        assert emp(5.0) == 1.0
         assert emp(5.01) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rp.ecdf([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            rp.ecdf([0.1, bad, 0.3])
+
+    def test_matches_cli_table(self):
+        samples = np.array([0.3, 0.1, 0.3, 0.2, 0.3, 0.1])
+        values, frac = _ecdf_rows(samples)
+        assert np.array_equal(rp.ecdf(samples)(values), frac)
 
     def test_dkw_bound(self):
         rng = np.random.default_rng(55)

@@ -130,6 +130,8 @@ def _read_curve(path):
         raise SystemExit(f"cannot parse {path}: {exc}") from exc
     if len(header) != 2 or data.shape[1] != 2 or header[0] != "d":
         raise SystemExit(f"{path}: expected a two-column CSV with a 'd' column")
+    if not np.isfinite(data).all():
+        raise SystemExit(f"cannot parse {path}: values must be finite")
     d, v = data[:, 0], data[:, 1]
     if np.any(np.diff(d) < 0):
         raise SystemExit(f"{path}: d column must be sorted")

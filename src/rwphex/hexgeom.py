@@ -43,6 +43,8 @@ class HexRegion:
     def __post_init__(self):
         if not (self.side > 0 and math.isfinite(self.side)):
             raise ValueError("side must be positive and finite")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError("side is too large: the bounding box overflows")
 
     @property
     def width(self) -> float:

@@ -5,14 +5,22 @@ destinations and one its speeds, each leg starts at the previous kept
 destination, and a cumulative sum of the leg durations gives the start
 times.  Zero-length legs are dropped, and legs that start at or after the
 duration are discarded, so the last block wastes at most ``LEG_BLOCK - 1``
-draws.  Positions are then sampled at exact multiples of the sample
-interval by interpolating along the active leg.
+draws.
+
+Positions are sampled at exact multiples of the sample interval by
+interpolating along the active leg.  The clock is split by leg, not by
+sample: one ``searchsorted`` per leg finds its first sample, and
+``np.repeat`` expands each leg's start time, inverse duration, origin and
+vector over its samples.  The two coordinates are written into one
+``(2, n)`` buffer, and ``Trace.positions`` is its ``(n, 2)`` transpose, so
+each column is contiguous in memory.
 
 The seed fully determines a trace.  Because the random stream is consumed a
 block at a time, ``LEG_BLOCK`` is part of the seed-to-trace mapping: another
 block size gives another trace from the same seed, with the same
-distribution.  A configuration projected to need more than ``MAX_LEGS`` legs
-raises ``ValueError`` instead of running.
+distribution.  A configuration that needs more than ``MAX_SAMPLES`` samples,
+or is projected to need more than ``MAX_LEGS`` legs, raises ``ValueError``
+instead of running.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
 
 LEG_BLOCK = 4096  # legs drawn per block; part of the seed-to-trace mapping
 MAX_LEGS = 10**7  # a simulation projected to need more legs is refused
+MAX_SAMPLES = 10**8  # a simulation that needs more samples is refused
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,7 @@ class Trace:
     uniformity.
     """
 
-    positions: np.ndarray  # (n, 2)
+    positions: np.ndarray  # (n, 2); simulate gives each column contiguous
     waypoints: np.ndarray  # (legs + 1, 2)
     config: SimConfig = field(repr=False)
 
@@ -115,19 +124,28 @@ def _legs(config: SimConfig, rng: np.random.Generator):
 
 def simulate(config: SimConfig) -> Trace:
     """Run one RWP trace and sample it on the fixed clock grid."""
+    intervals = config.duration / config.sample_interval  # inf if it overflows
+    if intervals >= MAX_SAMPLES:  # so floor(intervals) + 1 > MAX_SAMPLES
+        raise ValueError(f"simulation would need more than {MAX_SAMPLES} samples")
     rng = np.random.default_rng(config.seed)
-    n_samples = math.floor(config.duration / config.sample_interval) + 1
+    n_samples = math.floor(intervals) + 1
     waypoints, t0s, durs = _legs(config, rng)
-    if not len(t0s):
-        positions = np.tile(waypoints[0], (n_samples, 1))
+    positions = np.empty((2, n_samples)).T
+    if not len(t0s):  # zero duration: the node stands at its start
+        positions[:] = waypoints[0]
         return Trace(positions=positions, waypoints=waypoints, config=config)
 
-    vecs = np.diff(waypoints, axis=0)
-    inv_durs = 1.0 / durs
-    times = np.arange(n_samples) * config.sample_interval
-    idx = np.clip(np.searchsorted(t0s, times, side="right") - 1, 0, len(t0s) - 1)
-    frac = np.minimum((times - t0s[idx]) * inv_durs[idx], 1.0)
-    positions = waypoints[idx] + frac[:, None] * vecs[idx]
+    # leg k covers the samples at times in [t0s[k], t0s[k + 1])
+    times = np.arange(n_samples, dtype=float) * config.sample_interval
+    counts = np.diff(np.searchsorted(times, t0s, side="left"), append=n_samples)
+    frac = times  # in place: the fraction of its leg each sample has covered
+    frac -= np.repeat(t0s, counts)
+    frac *= np.repeat(1.0 / durs, counts)
+    np.minimum(frac, 1.0, out=frac)
+    for axis, coord in enumerate(waypoints.T):
+        step = np.repeat(np.diff(coord), counts)
+        step *= frac
+        np.add(np.repeat(coord[:-1], counts), step, out=positions[:, axis])
     return Trace(positions=positions, waypoints=waypoints, config=config)
 
 
@@ -151,7 +169,8 @@ class EmpiricalCdf:
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise ValueError("need at least one sample")
-        if not np.isfinite(arr).all():
+        # after the sort, NaN and infinities can only sit at the two ends
+        if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
             raise ValueError("samples must be finite")
         self.sorted_samples = arr
 
@@ -179,10 +198,18 @@ def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
 
 
 def ks_statistic(emp: EmpiricalCdf, model) -> float:
-    """sup |empirical - model| over the sample points, both step sides."""
+    """sup |empirical - model| over the sample points, both step sides.
+
+    The model must be finite at every sample, or ``ValueError`` is raised.
+    """
     s = emp.sorted_samples
     n = s.size
     m = np.asarray(model(s), dtype=float)
-    below = np.arange(n) / n
-    above = np.arange(1, n + 1) / n
-    return float(max(np.max(np.abs(m - below)), np.max(np.abs(m - above))))
+    # the ecdf is steps[i] just below s[i] and steps[i + 1] at it
+    steps = np.arange(n + 1, dtype=float) / n
+    # below <= above and rounding is monotone, so the larger of |m - below|
+    # and |m - above| is m - below or above - m: no abs pass is needed
+    ks = float(max(np.max(m - steps[:-1]), np.max(steps[1:] - m)))
+    if not math.isfinite(ks):  # NaN or an infinity in m reaches the max
+        raise ValueError("model values must be finite")
+    return ks

@@ -154,6 +154,14 @@ class TestSimulateCommand:
         assert rc == 2
 
 
+    def test_overflowing_side_is_usage_error(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--side", "1e308", "--ref-x", "0", "--ref-y", "0",
+                   "--duration", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
 class TestBaselineCommand:
     def test_single_sample(self, tmp_path):
         out = tmp_path / "base.csv"
@@ -169,6 +177,14 @@ class TestBaselineCommand:
                      "--n", "20000", "--seed", "3", "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert data[-1, 0] <= 1.0 + 1e-12
+
+
+    def test_overflowing_side_is_usage_error(self, tmp_path):
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "--side", "1e308", "--ref-x", "0", "--ref-y", "0",
+                   "--n", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -205,6 +221,18 @@ class TestCompareCommand:
         main(["distance-cdf", "--ref-x", "0", "--ref-y", "0",
               "--grid-n", "5", "--out", str(good)])
         assert main(["compare", str(good), str(bad)]) == 2
+
+
+    @pytest.mark.parametrize("rows", ["0,0\nnan,0.5\n1,1\n", "0,0\n0.5,nan\n1,1\n"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("d,ecdf\n" + rows)
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n0.5,0.5\n1,1\n")
+        assert main(["compare", str(good), str(bad)]) == 2
+        assert main(["compare", str(bad), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and "must be finite" in err
 
 
 def test_console_entry_point(tmp_path):

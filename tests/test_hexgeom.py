@@ -35,6 +35,15 @@ class TestVertices:
         with pytest.raises(ValueError):
             HexRegion(-1.0)
 
+    @pytest.mark.parametrize("side", [9e307, 1e308, 1.7976931348623157e308])
+    def test_overflowing_side_rejected(self, side):
+        with pytest.raises(ValueError):
+            HexRegion(side)
+
+    def test_largest_side_with_finite_box(self):
+        region = HexRegion(8.9e307)
+        assert math.isfinite(region.width) and math.isfinite(region.height)
+
 
 class TestContains:
     def test_center_inside(self):

@@ -161,6 +161,68 @@ class TestLegBlocks:
         assert np.array_equal(trace.waypoints, waypoints)
 
 
+def gather_reference(config, waypoints, t0s, durs):
+    """Positions from a leg table by one searchsorted and gathers per sample."""
+    n_samples = math.floor(config.duration / config.sample_interval) + 1
+    vecs = np.diff(waypoints, axis=0)
+    inv_durs = 1.0 / durs
+    times = np.arange(n_samples) * config.sample_interval
+    idx = np.clip(np.searchsorted(t0s, times, side="right") - 1, 0, len(t0s) - 1)
+    frac = np.minimum((times - t0s[idx]) * inv_durs[idx], 1.0)
+    return waypoints[idx] + frac[:, None] * vecs[idx]
+
+
+def seeded_legs(config):
+    return sim._legs(config, np.random.default_rng(config.seed))
+
+
+class TestClockSampling:
+    @pytest.mark.parametrize("dt", [1.0, 0.37, 7.0])
+    @pytest.mark.parametrize("side", [1.0, 2.5])
+    def test_matches_gather_reference(self, dt, side):
+        config = rp.SimConfig(side=side, v_min=0.01, v_max=0.05, duration=3000.0,
+                              sample_interval=dt, seed=31)
+        expected = gather_reference(config, *seeded_legs(config))
+        assert np.array_equal(rp.simulate(config).positions, expected)
+
+    def test_duration_shorter_than_first_leg(self):
+        config = rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=0.5,
+                              sample_interval=0.1, seed=8)
+        legs = seeded_legs(config)
+        assert len(legs[1]) == 1
+        trace = rp.simulate(config)
+        assert len(trace) == 6
+        assert np.array_equal(trace.positions, gather_reference(config, *legs))
+
+    def test_several_leg_blocks(self, long_trace):
+        expected = gather_reference(long_trace.config, *seeded_legs(long_trace.config))
+        assert np.array_equal(long_trace.positions, expected)
+
+    def test_equal_start_times_and_samples_on_leg_starts(self, monkeypatch):
+        # leg 1 is so short that legs 1 and 2 start at the same float time;
+        # leg 0 ends at 1.2, before leg 1 starts at 2.0
+        waypoints = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        t0s = np.array([0.0, 2.0, 2.0, 5.0])
+        durs = np.array([1.2, 1e-17, 3.0, 4.0])
+        assert 2.0 + durs[1] == t0s[2]
+        monkeypatch.setattr(sim, "_legs", lambda config, rng: (waypoints, t0s, durs))
+        config = rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=8.0,
+                              sample_interval=0.5, seed=0)
+        positions = rp.simulate(config).positions
+        assert np.array_equal(positions, gather_reference(config, waypoints, t0s, durs))
+        # a sample at a leg's start sits on its origin, in the last leg of a tie;
+        # a sample past its leg's end sits on the leg's destination
+        for t, k in ((0.0, 0), (1.5, 1), (2.0, 2), (5.0, 3)):
+            assert np.array_equal(positions[int(t / 0.5)], waypoints[k])
+
+    @pytest.mark.parametrize("duration", [0.0, 100.0])
+    def test_columns_contiguous(self, duration):
+        positions = rp.simulate(paper_config(duration=duration)).positions
+        assert positions.shape == (int(duration) + 1, 2)
+        assert positions[:, 0].flags.c_contiguous
+        assert positions[:, 1].flags.c_contiguous
+
+
 class TestBoundedWork:
     @pytest.mark.parametrize("fields", [
         "side=1e-300, duration=100.0",  # about 10**302 legs
@@ -175,6 +237,25 @@ class TestBoundedWork:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, timeout=10)
         assert result.stdout.strip() == "ValueError", result.stderr
+
+    @staticmethod
+    def refuse_legs(config, rng):
+        raise AssertionError("legs drawn for a refused simulation")
+
+    @pytest.mark.parametrize("duration, dt", [(2000.0, 1.0), (1.0, 5e-324)])
+    def test_sample_count_checked_before_legs(self, monkeypatch, duration, dt):
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 1000)
+        monkeypatch.setattr(sim, "_legs", self.refuse_legs)
+        config = rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=duration,
+                              sample_interval=dt)
+        with pytest.raises(ValueError, match="samples"):
+            rp.simulate(config)
+
+    def test_sample_count_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 1000)
+        assert len(rp.simulate(paper_config(duration=999.5))) == 1000
+        with pytest.raises(ValueError, match="samples"):
+            rp.simulate(paper_config(duration=1000.0))
 
 
 class TestDistancesTo:
@@ -271,6 +352,44 @@ class TestKsStatistic:
     def test_single_sample_at_median(self):
         emp = rp.ecdf([0.5])
         assert rp.ks_statistic(emp, lambda t: np.clip(t, 0.0, 1.0)) == 0.5
+
+
+def two_abs_ks(emp, model):
+    """The KS statistic as the larger of |m - below| and |m - above|."""
+    s = emp.sorted_samples
+    n = s.size
+    m = np.asarray(model(s), dtype=float)
+    below = np.arange(n) / n
+    above = np.arange(1, n + 1) / n
+    return float(max(np.max(np.abs(m - below)), np.max(np.abs(m - above))))
+
+
+class TestKsSignedPass:
+    MODELS = {
+        "monotone": lambda t: np.clip(t, 0.0, 1.0),
+        "non-monotone": lambda t: 0.5 + 0.5 * np.sin(40.0 * t),
+        "outside-unit": lambda t: 3.0 * t - 1.0,
+        "constant": lambda t: 0.3,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, 7, 100003])
+    def test_matches_two_abs_formula(self, name, n):
+        samples = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        emp, model = rp.ecdf(samples), self.MODELS[name]
+        assert rp.ks_statistic(emp, model) == two_abs_ks(emp, model)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_model_rejected(self, bad):
+        emp = rp.ecdf(np.linspace(0.0, 1.0, 50))
+
+        def model(t):
+            m = np.clip(t, 0.0, 1.0)
+            m[17] = bad
+            return m
+
+        with pytest.raises(ValueError, match="finite"):
+            rp.ks_statistic(emp, model)
 
 
 class TestSpeedModelInsensitivity:

@@ -12,6 +12,13 @@ breakpoints and the disk meeting a hexagon edge).  One fixed Gauss-Legendre
 rule on every cut interval therefore reaches rounding level, with no
 tolerance to choose.
 
+A cut that does not exist at a given d collapses onto the interval's end,
+so most of the intervals between sorted cuts have zero width.  The rule is
+applied only to the intervals of nonzero width, gathered from a whole block
+of d values into one flat list that remembers each interval's d; the
+integrand runs once on all their nodes, and each d sums its own intervals
+in order.
+
 Every quantity is scale-invariant, so inputs are checked and rescaled to
 side 1 on entry; the internals work at side 1 only.
 """
@@ -55,18 +62,18 @@ class CdfCurve:
     side: float
 
 
-def _rule(cuts):
-    """Nodes and weights of the fixed rule on the intervals between sorted cuts.
+def _rule(lo, hi):
+    """Nodes and weights of the fixed rule on each interval [lo[i], hi[i]].
 
-    ``cuts`` has shape (..., k + 1); both results have shape
-    (..., k * _SPLIT * 20).  Sums along the last axis stay row by row, so a
-    value does not depend on the other rows evaluated with it.
+    ``lo`` and ``hi`` have shape (k,); both results have shape
+    (k, _SPLIT * 20), one row per interval, so an interval's sum does not
+    depend on the other intervals evaluated with it.
     """
-    lo, hi = cuts[..., :-1, None], cuts[..., 1:, None]
+    lo, hi = lo[:, None], hi[:, None]
     edges = lo + (hi - lo) * np.linspace(0.0, 1.0, _SPLIT + 1)
-    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
     half = 0.5 * (b - a)
-    shape = cuts.shape[:-1] + (-1,)
+    shape = (lo.shape[0], _SPLIT * _NODES.size)  # explicit: k may be 0
     return ((0.5 * (a + b) + half * _NODES).reshape(shape),
             (half * _WEIGHTS).reshape(shape))
 
@@ -88,8 +95,8 @@ def _hexagon_mass() -> float:
     On each of the three x-panels the integrand is a polynomial of degree 9,
     which the rule integrates exactly.
     """
-    x, w = _rule(_X_BREAKS)
-    return float(w @ _slice_mass(x, -np.inf, np.inf))
+    x, w = _rule(_X_BREAKS[:-1], _X_BREAKS[1:])
+    return float(w.ravel() @ _slice_mass(x.ravel(), -np.inf, np.inf))
 
 
 def _disk_mass(x1: float, y1: float, d):
@@ -112,10 +119,17 @@ def _disk_mass(x1: float, y1: float, d):
     # fmax/fmin skip NaN, so an absent cut collapses onto t_lo
     t_lo, t_hi = xs[:, :1], xs[:, -1:]
     cuts = np.fmin(np.fmax(np.concatenate((xs, ys, -ys, edge), axis=1), t_lo), t_hi)
-    theta, weight = _rule(np.sort(cuts, axis=-1))
-    c = d * np.cos(theta)
-    x = np.clip(x1 + d * np.sin(theta), 0.0, 2.0)
-    return np.sum(weight * c * _slice_mass(x, y1 - c, y1 + c), axis=-1)
+    cuts = np.sort(cuts, axis=-1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    # intervals of nonzero width in row order, and the row (d) of each;
+    # the zero-width ones would only add exact zeros
+    row, col = np.nonzero(hi > lo)
+    theta, weight = _rule(lo[row, col], hi[row, col])
+    dr = d[row]
+    c = dr * np.cos(theta)
+    x = np.clip(x1 + dr * np.sin(theta), 0.0, 2.0)
+    per_interval = np.sum(weight * c * _slice_mass(x, y1 - c, y1 + c), axis=-1)
+    return np.bincount(row, weights=per_interval, minlength=len(d))
 
 
 def _cdf(x1: float, y1: float, d):

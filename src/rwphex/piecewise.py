@@ -23,7 +23,7 @@ class PiecewisePolynomial:
     ``coeffs[i]`` holds ascending-power coefficients of the i-th piece.
     """
 
-    __slots__ = ("breakpoints", "coeffs")
+    __slots__ = ("breakpoints", "coeffs", "_table")
 
     def __init__(self, breakpoints, coeffs):
         bp = np.asarray(breakpoints, dtype=float)
@@ -35,6 +35,11 @@ class PiecewisePolynomial:
             raise ValueError("piece count must match interval count")
         self.breakpoints = bp
         self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        # row k holds every piece's t**k coefficient, zero above its degree
+        table = np.zeros((max(c.size for c in self.coeffs), len(self.coeffs)))
+        for i, c in enumerate(self.coeffs):
+            table[:c.size, i] = c
+        self._table = table
 
     @property
     def domain(self):
@@ -45,8 +50,9 @@ class PiecewisePolynomial:
         return 1e-9 * max(abs(lo), abs(hi), 1.0)
 
     def piece_index(self, t):
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
+        # counting only the interior breakpoints at or below t clamps the
+        # index to the first and last piece (NaN sorts last)
+        return np.searchsorted(self.breakpoints[1:-1], t, side="right")
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
@@ -54,15 +60,19 @@ class PiecewisePolynomial:
         tt = np.atleast_1d(tt)
         lo, hi = self.domain
         tol = self._tol()
-        if np.any(tt < lo - tol) or np.any(tt > hi + tol):
+        # fmin/fmax skip NaN, so a NaN does not hide a value outside the domain
+        if tt.size and (np.fmin.reduce(tt, axis=None) < lo - tol
+                        or np.fmax.reduce(tt, axis=None) > hi + tol):
             raise DomainError(f"argument outside domain [{lo}, {hi}]")
         tt = np.clip(tt, lo, hi)
-        out = np.empty_like(tt)
-        idx = self.piece_index(tt)
-        for i, c in enumerate(self.coeffs):
-            mask = idx == i
-            if mask.any():
-                out[mask] = npoly.polyval(tt[mask], c)
+        # Horner from the top power, in polyval's order (acc = acc * t + c_k),
+        # so each value equals npoly.polyval on its own piece bit for bit;
+        # a zero-padded power leaves acc at exactly zero
+        coeffs = self._table.take(self.piece_index(tt), axis=1)
+        out = np.zeros_like(tt)
+        for c in coeffs[::-1]:
+            out *= tt
+            out += c
         return float(out[0]) if scalar else out
 
     def eval_zero_outside(self, t):

@@ -162,6 +162,19 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--duration", "10", "--seed", "1"],
+    ["baseline", "--n", "10", "--seed", "1"],
+])
+@pytest.mark.parametrize("ref", [["--ref-x", "nan", "--ref-y", "0"],
+                                 ["--ref-x", "0", "--ref-y", "inf"]])
+def test_non_finite_reference_is_usage_error(tmp_path, command, ref):
+    # these used to write a row of nan or inf distances and exit 0
+    out = tmp_path / "out.csv"
+    assert main(command + ref + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestBaselineCommand:
     def test_single_sample(self, tmp_path):
         out = tmp_path / "base.csv"

@@ -8,7 +8,8 @@ import pytest
 
 import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
-from rwphex.distance import _disk_mass, _hexagon_mass
+from rwphex import distance
+from rwphex.distance import _BLOCK, _disk_mass, _hexagon_mass
 
 from conftest import mc_distance_cdf, quad_distance_cdf
 
@@ -130,9 +131,28 @@ class TestDistanceCdfCurve:
 
     def test_blocks_match_single_values(self):
         # a grid spans several evaluation blocks; each value is still its own
-        curve = rp.distance_cdf_curve(CENTER, 1.0, 50)
-        for i in (0, 17, 33, 48, 49):
+        n = 3 * _BLOCK + 5
+        curve = rp.distance_cdf_curve(CENTER, 1.0, n)
+        for i in (0, _BLOCK + 1, 2 * _BLOCK + 1, n - 2, n - 1):
             assert rp.distance_cdf(CENTER, 1.0, float(curve.d_values[i])) == curve.cdf_values[i]
+
+    def test_integrand_nodes_only_on_wide_intervals(self, monkeypatch):
+        # all 21 cut intervals at 40 nodes would be 198 * 840 = 166,320 nodes
+        nodes = []
+        slice_mass = distance._slice_mass
+
+        def counted(x, ylo, yhi):
+            nodes.append(np.size(x))
+            return slice_mass(x, ylo, yhi)
+
+        monkeypatch.setattr(distance, "_slice_mass", counted)
+        rp.distance_cdf_curve(ORIGIN, 1.0, 200)
+        assert 0 < sum(nodes) < 50_000
+
+    def test_just_above_exterior_dmin(self):
+        d_min, _ = HexRegion(1.0).distance_extremes(FAR)
+        for d in (np.nextafter(d_min, np.inf), d_min * (1 + 1e-12), d_min + 1e-6):
+            assert 0.0 <= rp.distance_cdf(FAR, 1.0, float(d)) <= 1.0
 
 
 class TestMassInternals:

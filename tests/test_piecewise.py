@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from rwphex.marginals import axis_marginal
 from rwphex.piecewise import DomainError, PiecewisePolynomial
 
 
@@ -28,6 +30,10 @@ def test_domain_error(ramp):
         ramp(-0.1)
     with pytest.raises(DomainError):
         ramp(np.array([0.5, 3.2]))
+    with pytest.raises(DomainError):
+        ramp(np.array([np.nan, -0.1]))
+    assert np.isnan(ramp(np.nan))
+    assert ramp(np.zeros(0)).shape == (0,)
 
 
 def test_eval_zero_outside(ramp):
@@ -71,3 +77,27 @@ def test_validation():
         PiecewisePolynomial([0.0, 0.0, 1.0], [[1.0], [1.0]])
     with pytest.raises(ValueError):
         PiecewisePolynomial([0.0, 1.0], [[1.0], [2.0]])
+
+
+def per_piece_polyval(pp, t):
+    """Reference: npoly.polyval on each piece's own points."""
+    idx = np.clip(np.searchsorted(pp.breakpoints, t, side="right") - 1, 0, len(pp.coeffs) - 1)
+    out = np.empty_like(t)
+    for i, c in enumerate(pp.coeffs):
+        out[idx == i] = npoly.polyval(t[idx == i], c)
+    return out
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("side", [0.37, 1.0, 2.5, 1000.0])
+def test_marginal_tables_match_polyval_bytes(axis, side):
+    m = axis_marginal(axis, side)
+    rng = np.random.default_rng(8)
+    for pp in (m.waypoint_pdf, m.stationary_pdf, m.stationary_cdf, m.partial_leg):
+        lo, hi = pp.domain
+        # breakpoints (the domain ends among them), their neighbours, and the interior
+        t = np.concatenate((pp.breakpoints, np.nextafter(pp.breakpoints[1:], -np.inf),
+                            np.nextafter(pp.breakpoints[:-1], np.inf), rng.uniform(lo, hi, 500)))
+        assert pp(t).tobytes() == per_piece_polyval(pp, t).tobytes()
+        for v in t[:12]:
+            assert np.float64(pp(float(v))).tobytes() == per_piece_polyval(pp, np.array([v])).tobytes()

@@ -279,6 +279,12 @@ class TestDistancesTo:
         assert np.allclose(rp.distances_to(trace, ref),
                            rp.distances_to(shifted, ref_shifted), atol=1e-12)
 
+    @pytest.mark.parametrize("xy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_reference_rejected(self, xy):
+        trace = rp.simulate(paper_config(duration=10))
+        with pytest.raises(ValueError, match="finite"):
+            rp.distances_to(trace, RefNode(Point2(*xy)))
+
 
 class TestEmpiricalCdf:
     def test_strict_less_convention(self):
@@ -310,6 +316,15 @@ class TestEmpiricalCdf:
         grid = np.linspace(0.0, 1.0, 2001)
         assert np.max(np.abs(emp(grid) - grid)) < 0.01
 
+    def test_nan_query_rejected(self):
+        emp = rp.ecdf([0.1, 0.2, 0.3])
+        for bad in (math.nan, np.array([0.15, math.nan]), [math.nan]):
+            with pytest.raises(ValueError):
+                emp(bad)
+        assert emp(math.inf) == 1.0
+        assert emp(-math.inf) == 0.0
+        assert np.array_equal(emp(np.array([-math.inf, 0.2, math.inf])), [0.0, 2 / 3, 1.0])
+
 
 class TestUniformNodeDistances:
     def test_within_max_distance(self):
@@ -336,6 +351,12 @@ class TestUniformNodeDistances:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(0, 0)), 0,
+                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("xy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_reference_rejected(self, xy):
+        with pytest.raises(ValueError, match="finite"):
+            rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(*xy)), 10,
                                       np.random.default_rng(0))
 
 

@@ -12,18 +12,10 @@ from .piecewise import DomainError, PiecewisePolynomial
 from .marginals import (
     AxisMarginal,
     axis_marginal,
-    expected_leg_x,
-    expected_leg_y,
-    expected_lx,
-    expected_ly,
-    shifted_pdf_dx,
-    shifted_pdf_dy,
     stationary_cdf_x,
     stationary_cdf_y,
     stationary_pdf_x,
     stationary_pdf_y,
-    waypoint_pdf_x,
-    waypoint_pdf_y,
 )
 from .distance import (
     CdfCurve,

@@ -92,11 +92,12 @@ def _ecdf_rows(samples):
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
+    ref = RefNode(Point2(args.ref_x, args.ref_y))  # refuse a bad node before simulating
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
                        duration=args.duration, sample_interval=args.dt,
                        seed=args.seed)
     trace = simulate(config)
-    dists = distances_to(trace, RefNode(Point2(args.ref_x, args.ref_y)))
+    dists = distances_to(trace, ref)
     _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
     _write_manifest(args.out, "simulate",
                     {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,

@@ -144,12 +144,10 @@ def _cdf(x1: float, y1: float, d):
 
 
 def _unit_ref(ref: RefNode, a: float) -> tuple[float, float]:
-    """Check the side and the reference node; return the node at side 1."""
+    """Check the side and the node's scale; return the node at side 1."""
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("side must be positive and finite")
     x, y = ref.pos
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("reference node coordinates must be finite")
     x1, y1 = x / a, y / a
     # distances from the node must be finite at the caller's scale and at side 1
     if not (math.isfinite(math.hypot(x, y)) and math.isfinite(math.hypot(x1, y1))):
@@ -177,5 +175,7 @@ def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
         raise ValueError("n_points must be at least 2")
     x1, y1 = _unit_ref(ref, a)
     d_min, d_max = _UNIT.distance_extremes(RefNode(Point2(x1, y1)))
+    if not math.isfinite(a * d_max):
+        raise ValueError("the largest distance overflows at this side")
     grid = np.linspace(d_min, d_max, n_points)
     return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid), ref=ref, side=a)

@@ -23,10 +23,15 @@ class Point2(NamedTuple):
     y: float
 
 
-class RefNode(NamedTuple):
+@dataclass(frozen=True)
+class RefNode:
     """Fixed reference node; may lie inside or outside the hexagon."""
 
     pos: Point2
+
+    def __post_init__(self):
+        if not (math.isfinite(self.pos[0]) and math.isfinite(self.pos[1])):
+            raise ValueError("reference node coordinates must be finite")
 
 
 def _segment_distance(px, py, ax, ay, bx, by):
@@ -43,8 +48,9 @@ class HexRegion:
     def __post_init__(self):
         if not (self.side > 0 and math.isfinite(self.side)):
             raise ValueError("side must be positive and finite")
-        if not (math.isfinite(self.width) and math.isfinite(self.height)):
-            raise ValueError("side is too large: the bounding box overflows")
+        # the vertices compute 3a, and contains_mask nothing larger on the bounding box
+        if not math.isfinite(3 * self.side):
+            raise ValueError("side is too large: the cell's coordinates overflow")
 
     @property
     def width(self) -> float:

@@ -60,9 +60,8 @@ class PiecewisePolynomial:
         tt = np.atleast_1d(tt)
         lo, hi = self.domain
         tol = self._tol()
-        # fmin/fmax skip NaN, so a NaN does not hide a value outside the domain
-        if tt.size and (np.fmin.reduce(tt, axis=None) < lo - tol
-                        or np.fmax.reduce(tt, axis=None) > hi + tol):
+        # min and max propagate NaN, which fails both comparisons
+        if tt.size and not (tt.min() >= lo - tol and tt.max() <= hi + tol):
             raise DomainError(f"argument outside domain [{lo}, {hi}]")
         tt = np.clip(tt, lo, hi)
         # Horner from the top power, in polyval's order (acc = acc * t + c_k),
@@ -74,16 +73,6 @@ class PiecewisePolynomial:
             out *= tt
             out += c
         return float(out[0]) if scalar else out
-
-    def eval_zero_outside(self, t):
-        """Evaluate, returning 0 wherever t falls outside the domain."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.domain
-        inside = (tt >= lo) & (tt <= hi)
-        out = np.zeros_like(tt)
-        if inside.any():
-            out[inside] = self(tt[inside])
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def derivative(self) -> "PiecewisePolynomial":
         return PiecewisePolynomial(

@@ -149,19 +149,11 @@ def simulate(config: SimConfig) -> Trace:
     return Trace(positions=positions, waypoints=waypoints, config=config)
 
 
-def _finite_ref(ref: RefNode) -> tuple[float, float]:
-    """The reference coordinates; ``ValueError`` unless both are finite."""
-    x1, y1 = ref.pos
-    if not (math.isfinite(x1) and math.isfinite(y1)):
-        raise ValueError("reference node coordinates must be finite")
-    return x1, y1
-
-
 def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
     """Per-sample Euclidean distance to the reference node."""
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    x1, y1 = _finite_ref(ref)
+    x1, y1 = ref.pos
     return np.hypot(trace.positions[:, 0] - x1, trace.positions[:, 1] - y1)
 
 
@@ -202,7 +194,7 @@ def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    x1, y1 = _finite_ref(ref)
+    x1, y1 = ref.pos
     pts = region.sample_uniform_batch(n, rng)
     return np.hypot(pts[:, 0] - x1, pts[:, 1] - y1)
 

@@ -134,11 +134,15 @@ def product_density_cloud():
 
 
 def mc_distance_cdf(cloud, ref, d):
-    """Fraction of the cloud closer than d to ref, with its standard error."""
+    """Fraction of the cloud closer than d to ref, with its standard error.
+
+    ``d`` may be an array: the distances are computed and sorted once, and
+    each count of points closer than d is one binary search.
+    """
     xs, ys, _ = cloud
-    dist = np.hypot(xs - ref[0], ys - ref[1])
-    p = float((dist < d).mean())
-    se = math.sqrt(max(p * (1 - p), 1e-12) / len(xs))
+    dist = np.sort(np.hypot(xs - ref[0], ys - ref[1]))
+    p = np.searchsorted(dist, d, side="left") / len(xs)
+    se = np.sqrt(np.maximum(p * (1 - p), 1e-12) / len(xs))
     return p, se
 
 

@@ -54,23 +54,26 @@ def _curve_model(ref, n=200):
 
 def test_expected_leg_constants():
     budget = _Budget("expected-leg constants", 1.0)
-    assert rp.expected_leg_x(1.0) == pytest.approx(71 / 135, abs=1e-12)
-    assert rp.expected_leg_y(1.0) == pytest.approx(41 / (45 * SQRT3), abs=1e-12)
-    assert abs(rp.expected_leg_x(1.0) - expected_leg_oracle(waypoint_x, X_BREAKS)) < 1e-9
-    assert abs(rp.expected_leg_y(1.0) - expected_leg_oracle(waypoint_y, Y_BREAKS)) < 1e-9
+    leg_x = rp.axis_marginal("x", 1.0).expected_leg
+    leg_y = rp.axis_marginal("y", 1.0).expected_leg
+    assert leg_x == pytest.approx(71 / 135, abs=1e-12)
+    assert leg_y == pytest.approx(41 / (45 * SQRT3), abs=1e-12)
+    assert abs(leg_x - expected_leg_oracle(waypoint_x, X_BREAKS)) < 1e-9
+    assert abs(leg_y - expected_leg_oracle(waypoint_y, Y_BREAKS)) < 1e-9
     budget.done()
 
 
 def test_partial_leg_oracle_suite():
     budget = _Budget("partial-leg branch oracle suite", 10.0)
     rng = np.random.default_rng(31)
-    for axis, density, breaks, closed_form in (
-        ("x", waypoint_x, X_BREAKS, rp.expected_lx),
-        ("y", waypoint_y, Y_BREAKS, rp.expected_ly),
+    for axis, density, breaks in (
+        ("x", waypoint_x, X_BREAKS),
+        ("y", waypoint_y, Y_BREAKS),
     ):
+        closed_form = rp.axis_marginal(axis, 1.0).partial_leg
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             for t in rng.uniform(lo, hi, 20):
-                assert abs(closed_form(t, 1.0) - leg_below_oracle(t, density, breaks)) < 1e-9, \
+                assert abs(closed_form(t) - leg_below_oracle(t, density, breaks)) < 1e-9, \
                     f"axis {axis} branch [{lo}, {hi}] at {t}"
     budget.done()
 
@@ -106,9 +109,9 @@ def test_quadrature_vs_monte_carlo(product_density_cloud):
     region = HexRegion(1.0)
     for ref in ORACLE_REFS:
         d_min, d_max = region.distance_extremes(ref)
-        for d in np.linspace(d_min, d_max, 12)[1:-1]:
+        ds = np.linspace(d_min, d_max, 12)[1:-1]
+        for d, mc, se in zip(ds, *mc_distance_cdf(product_density_cloud, ref.pos, ds)):
             value = rp.distance_cdf(ref, 1.0, float(d))
-            mc, se = mc_distance_cdf(product_density_cloud, ref.pos, float(d))
             assert abs(value - mc) < 3 * max(se, 1e-9), \
                 f"ref {ref.pos} d={d}: quad {value} vs MC {mc} (se {se})"
     budget.done()

@@ -175,6 +175,17 @@ def test_non_finite_reference_is_usage_error(tmp_path, command, ref):
     assert not out.exists()
 
 
+def test_simulate_refuses_bad_reference_before_simulating(tmp_path, monkeypatch):
+    def fail(config):
+        raise AssertionError("simulate ran for a bad reference node")
+
+    monkeypatch.setattr("rwphex.cli.simulate", fail)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--ref-x", "nan", "--ref-y", "0", "--duration", "10",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestBaselineCommand:
     def test_single_sample(self, tmp_path):
         out = tmp_path / "base.csv"
@@ -195,6 +206,15 @@ class TestBaselineCommand:
     def test_overflowing_side_is_usage_error(self, tmp_path):
         out = tmp_path / "base.csv"
         rc = main(["baseline", "--side", "1e308", "--ref-x", "0", "--ref-y", "0",
+                   "--n", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_overflowing_vertices_are_usage_error(self, tmp_path):
+        # the bounding box is finite at this side, but 3a and so two vertices are not;
+        # this used to write a row of inf distances and exit 0
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "--side", "8.9e307", "--ref-x", "0", "--ref-y", "0",
                    "--n", "10", "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()

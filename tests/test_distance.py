@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -196,11 +197,18 @@ class TestNonFiniteInput:
         "rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1.0, inf)",
         "rp.distance_cdf_curve(RefNode(Point2(nan, 0.0)), 1.0, 5)",
         "rp.distance_cdf_curve(RefNode(Point2(0.0, 0.0)), inf, 5)",
+        "rp.distance_cdf_curve(RefNode(Point2(0.0, 0.0)), 1e308, 5)",
         "rp.product_mass_hexagon(RefNode(Point2(nan, 0.0)), 1.0)",
         "rp.product_mass_hexagon(RefNode(Point2(0.0, 0.0)), inf)",
     ])
     def test_rejected(self, statement):
         assert run_bounded(statement) == "ValueError"
+
+    def test_huge_side_gives_finite_distances(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = rp.distance_cdf_curve(ORIGIN, 5e307, 5)
+        assert np.isfinite(curve.d_values).all()
 
     def test_tiny_scale_returns(self):
         got = float(run_bounded("rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1e-200, 1e-200)"))

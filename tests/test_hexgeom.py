@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,14 +36,18 @@ class TestVertices:
         with pytest.raises(ValueError):
             HexRegion(-1.0)
 
-    @pytest.mark.parametrize("side", [9e307, 1e308, 1.7976931348623157e308])
+    @pytest.mark.parametrize("side", [6e307, 8.9e307, 9e307, 1e308, 1.7976931348623157e308])
     def test_overflowing_side_rejected(self, side):
         with pytest.raises(ValueError):
             HexRegion(side)
 
     def test_largest_side_with_finite_box(self):
-        region = HexRegion(8.9e307)
+        region = HexRegion(5.9e307)
         assert math.isfinite(region.width) and math.isfinite(region.height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs, ys = np.array(region.vertices()).T
+            assert region.contains_mask(xs, ys).all()
 
 
 class TestContains:

@@ -21,25 +21,27 @@ from conftest import (
 
 class TestWaypointPdf:
     def test_x_first_branch(self):
-        assert rp.waypoint_pdf_x(0.25, 1.0) == pytest.approx(1 / 3, rel=1e-12)
+        assert rp.axis_marginal("x", 1.0).waypoint_pdf(0.25) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_x_continuity_at_half(self):
-        assert rp.waypoint_pdf_x(0.5 - 1e-12, 1.0) == pytest.approx(2 / 3, abs=1e-9)
-        assert rp.waypoint_pdf_x(0.5, 1.0) == pytest.approx(2 / 3, rel=1e-12)
+        pdf = rp.axis_marginal("x", 1.0).waypoint_pdf
+        assert pdf(0.5 - 1e-12) == pytest.approx(2 / 3, abs=1e-9)
+        assert pdf(0.5) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_x_boundary(self):
-        assert rp.waypoint_pdf_x(2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert rp.axis_marginal("x", 1.0).waypoint_pdf(2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_y_values(self):
-        assert rp.waypoint_pdf_y(0.0, 1.0) == pytest.approx(2 * SQRT3 / 9, rel=1e-12)
-        assert rp.waypoint_pdf_y(SQRT3 / 2, 1.0) == pytest.approx(4 * SQRT3 / 9, rel=1e-12)
-        assert rp.waypoint_pdf_y(SQRT3, 1.0) == pytest.approx(2 * SQRT3 / 9, rel=1e-12)
+        pdf = rp.axis_marginal("y", 1.0).waypoint_pdf
+        assert pdf(0.0) == pytest.approx(2 * SQRT3 / 9, rel=1e-12)
+        assert pdf(SQRT3 / 2) == pytest.approx(4 * SQRT3 / 9, rel=1e-12)
+        assert pdf(SQRT3) == pytest.approx(2 * SQRT3 / 9, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            rp.waypoint_pdf_x(-0.1, 1.0)
+            rp.axis_marginal("x", 1.0).waypoint_pdf(-0.1)
         with pytest.raises(DomainError):
-            rp.waypoint_pdf_y(2.0, 1.0)
+            rp.axis_marginal("y", 1.0).waypoint_pdf(2.0)
 
     @pytest.mark.parametrize("axis,hi", [("x", 2.0), ("y", SQRT3)])
     def test_normalization(self, axis, hi):
@@ -50,27 +52,29 @@ class TestWaypointPdf:
 class TestExpectedLeg:
     def test_x_constant_exact(self):
         assert _canonical("x")["expected_leg"] == Fraction(71, 135)
-        assert rp.expected_leg_x(1.0) == pytest.approx(71 / 135, rel=1e-15)
-        assert rp.expected_leg_x(2.0) == pytest.approx(142 / 135, rel=1e-15)
+        assert rp.axis_marginal("x", 1.0).expected_leg == pytest.approx(71 / 135, rel=1e-15)
+        assert rp.axis_marginal("x", 2.0).expected_leg == pytest.approx(142 / 135, rel=1e-15)
 
     def test_y_constant_exact(self):
         assert _canonical("y")["expected_leg"] == Fraction(41, 135)
-        assert rp.expected_leg_y(1.0) == pytest.approx(41 / (45 * SQRT3), rel=1e-15)
-        assert rp.expected_leg_y(3.0) == pytest.approx(41 / (15 * SQRT3), rel=1e-15)
+        assert rp.axis_marginal("y", 1.0).expected_leg == pytest.approx(
+            41 / (45 * SQRT3), rel=1e-15)
+        assert rp.axis_marginal("y", 3.0).expected_leg == pytest.approx(
+            41 / (15 * SQRT3), rel=1e-15)
 
     def test_x_against_quadrature_oracle(self):
         oracle = expected_leg_oracle(waypoint_x, X_BREAKS)
-        assert rp.expected_leg_x(1.0) == pytest.approx(oracle, abs=1e-9)
+        assert rp.axis_marginal("x", 1.0).expected_leg == pytest.approx(oracle, abs=1e-9)
 
     def test_y_against_quadrature_oracle(self):
         oracle = expected_leg_oracle(waypoint_y, Y_BREAKS)
-        assert rp.expected_leg_y(1.0) == pytest.approx(oracle, abs=1e-9)
+        assert rp.axis_marginal("y", 1.0).expected_leg == pytest.approx(oracle, abs=1e-9)
 
     def test_invalid_side(self):
-        with pytest.raises(ValueError):
-            rp.expected_leg_x(0.0)
-        with pytest.raises(ValueError):
-            rp.expected_leg_y(-2.0)
+        with pytest.raises(ValueError, match="side"):
+            rp.axis_marginal("x", 0.0)
+        with pytest.raises(ValueError, match="side"):
+            rp.axis_marginal("y", -2.0)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("side", [math.inf, math.nan])
@@ -81,35 +85,40 @@ class TestExpectedLeg:
 
 class TestPartialLeg:
     def test_x_endpoints(self):
-        assert rp.expected_lx(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert rp.expected_lx(2.0, 1.0) == pytest.approx(rp.expected_leg_x(1.0), rel=1e-12)
+        m = rp.axis_marginal("x", 1.0)
+        assert m.partial_leg(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert m.partial_leg(2.0) == pytest.approx(m.expected_leg, rel=1e-12)
 
     def test_y_endpoints(self):
-        assert rp.expected_ly(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert rp.expected_ly(SQRT3, 1.0) == pytest.approx(rp.expected_leg_y(1.0), rel=1e-12)
+        m = rp.axis_marginal("y", 1.0)
+        assert m.partial_leg(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert m.partial_leg(SQRT3) == pytest.approx(m.expected_leg, rel=1e-12)
 
     def test_x_at_half(self):
-        assert rp.expected_lx(0.5, 1.0) == pytest.approx(
+        assert rp.axis_marginal("x", 1.0).partial_leg(0.5) == pytest.approx(
             2 * (2 * 0.5**3 / 9 - 4 * 0.5**5 / 45), rel=1e-12
         )
 
     def test_y_at_half_height_against_oracle(self):
         oracle = leg_below_oracle(SQRT3 / 2, waypoint_y, Y_BREAKS)
-        assert rp.expected_ly(SQRT3 / 2, 1.0) == pytest.approx(oracle, abs=1e-9)
+        assert rp.axis_marginal("y", 1.0).partial_leg(SQRT3 / 2) == pytest.approx(
+            oracle, abs=1e-9)
 
     def test_x_branches_against_oracle(self):
         rng = np.random.default_rng(11)
         for lo, hi in zip(X_BREAKS[:-1], X_BREAKS[1:]):
             for x in rng.uniform(lo, hi, 20):
                 oracle = leg_below_oracle(x, waypoint_x, X_BREAKS)
-                assert rp.expected_lx(x, 1.0) == pytest.approx(oracle, abs=1e-9)
+                assert rp.axis_marginal("x", 1.0).partial_leg(x) == pytest.approx(
+                    oracle, abs=1e-9)
 
     def test_y_branches_against_oracle(self):
         rng = np.random.default_rng(12)
         for lo, hi in zip(Y_BREAKS[:-1], Y_BREAKS[1:]):
             for y in rng.uniform(lo, hi, 20):
                 oracle = leg_below_oracle(y, waypoint_y, Y_BREAKS)
-                assert rp.expected_ly(y, 1.0) == pytest.approx(oracle, abs=1e-9)
+                assert rp.axis_marginal("y", 1.0).partial_leg(y) == pytest.approx(
+                    oracle, abs=1e-9)
 
 
 class TestStationaryCdf:
@@ -182,23 +191,3 @@ class TestStationaryPdf:
             pdf = rp.axis_marginal(axis, 1.0).stationary_pdf
             for b in pdf.breakpoints[1:-1]:
                 assert pdf(b - 1e-13) == pytest.approx(pdf(b), abs=1e-12)
-
-
-class TestShiftedPdf:
-    def test_zero_shift_identity(self):
-        grid = np.linspace(0.0, 2.0, 50)
-        expect = rp.axis_marginal("x", 1.0).stationary_pdf(grid)
-        assert np.allclose(rp.shifted_pdf_dx(grid, 0.0, 1.0), expect, atol=0)
-
-    def test_shift_value(self):
-        assert rp.shifted_pdf_dx(0.5, 0.5, 1.0) == pytest.approx(135 / 142, rel=1e-12)
-
-    def test_outside_support_is_zero(self):
-        assert rp.shifted_pdf_dx(-0.6, 0.5, 1.0) == 0.0
-        assert rp.shifted_pdf_dy(SQRT3, 0.5, 1.0) == 0.0
-
-    def test_y_shift_matches_unshifted(self):
-        y1 = 0.4
-        grid = np.linspace(0.0, SQRT3 - y1 - 1e-9, 40)
-        expect = rp.axis_marginal("y", 1.0).stationary_pdf(grid + y1)
-        assert np.allclose(rp.shifted_pdf_dy(grid, y1, 1.0), expect, rtol=1e-14)

@@ -32,14 +32,9 @@ def test_domain_error(ramp):
         ramp(np.array([0.5, 3.2]))
     with pytest.raises(DomainError):
         ramp(np.array([np.nan, -0.1]))
-    assert np.isnan(ramp(np.nan))
+    with pytest.raises(DomainError):
+        ramp(np.nan)
     assert ramp(np.zeros(0)).shape == (0,)
-
-
-def test_eval_zero_outside(ramp):
-    assert ramp.eval_zero_outside(-5.0) == 0.0
-    assert ramp.eval_zero_outside(2.0) == 2.0
-    assert np.allclose(ramp.eval_zero_outside(np.array([-1.0, 0.5, 4.0])), [0.0, 1.0, 0.0])
 
 
 def test_derivative(ramp):

@@ -1,0 +1,85 @@
+"""One validated boundary per quantity.
+
+Each ``AxisMarginal`` field checks its own argument, and ``RefNode`` checks
+its own coordinates; every public entry point reaches those checks instead
+of repeating them.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rwphex as rp
+from rwphex.hexgeom import SQRT3, Point2, RefNode
+
+FIELDS = ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg")
+WRAPPERS = {"x": (rp.stationary_cdf_x, rp.stationary_pdf_x),
+            "y": (rp.stationary_cdf_y, rp.stationary_pdf_y)}
+UPPER = {"x": 2.0, "y": SQRT3}  # upper domain end at side 1
+NON_FINITE = (math.nan, math.inf, -math.inf)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+sides = st.floats(min_value=1e-3, max_value=1e3)
+axes = st.sampled_from(("x", "y"))
+
+
+def _evaluators(axis, side):
+    """Every checked evaluator of one axis, as functions of the coordinate."""
+    m = rp.axis_marginal(axis, side)
+    return [getattr(m, name) for name in FIELDS] + [
+        lambda t, fn=fn: fn(t, side) for fn in WRAPPERS[axis]]
+
+
+@PROPERTY
+@given(axis=axes, side=sides, frac=st.floats(min_value=0.0, max_value=1.0))
+def test_in_domain_is_finite(axis, side, frac):
+    t = frac * UPPER[axis] * side
+    for fn in _evaluators(axis, side):
+        assert math.isfinite(fn(t))
+
+
+@PROPERTY
+@given(axis=axes, side=sides, data=st.data())
+def test_out_of_domain_raises(axis, side, data):
+    hi = UPPER[axis] * side
+    margin = 1e-6 * max(hi, 1.0)  # well past the 1e-9 relative tolerance
+    t = data.draw(st.one_of(
+        st.sampled_from(NON_FINITE),
+        st.floats(max_value=-margin, allow_infinity=False),
+        st.floats(min_value=hi + margin, allow_infinity=False),
+    ))
+    for fn in _evaluators(axis, side):
+        with pytest.raises(ValueError):
+            fn(t)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_one_bad_array_entry_raises(axis, bad):
+    for name in FIELDS:
+        with pytest.raises(ValueError):
+            getattr(rp.axis_marginal(axis, 1.0), name)(np.array([0.0, bad, 1.0]))
+
+
+@PROPERTY
+@given(other=st.floats(), bad=st.sampled_from(NON_FINITE), bad_first=st.booleans())
+def test_non_finite_ref_node_raises(other, bad, bad_first):
+    xy = (bad, other) if bad_first else (other, bad)
+    with pytest.raises(ValueError, match="finite"):
+        RefNode(Point2(*xy))
+
+
+def test_kept_wrappers_are_bit_identical():
+    # SHA-256 of the values that the former checked wrappers returned at the
+    # probe points of test_marginals.py, scaled to four sides
+    probes = {"x": (0.0, 0.2, 0.5, 0.9, 1.0, 1.7, 2.0),
+              "y": (0.0, 0.3, SQRT3 / 2, 1.1, 1.6, SQRT3)}
+    values = [getattr(rp, f"stationary_{kind}_{axis}")(side * c, side)
+              for kind in ("cdf", "pdf") for axis in ("x", "y")
+              for side in (0.5, 1.0, 2.0, 10.0) for c in probes[axis]]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+    assert digest == "b599b339bd0fd273d6134915b8951ac3477ce953249617c588ecda373f4f97f3"

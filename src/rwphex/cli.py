@@ -205,7 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("compare", help="KS comparison of two CDF curves")
+    p = sub.add_parser(
+        "compare", help="KS comparison of two CDF curves",
+        description="Largest gap between two d,<value> tables, each interpolated "
+                    "linearly between its rows, on the union of their d values. "
+                    "An ecdf table is interpolated too, so the result can differ "
+                    "from ks_statistic, which takes both sides of each ecdf step, "
+                    "by up to one step (1/n for n samples without ties).")
     p.add_argument("analytic_csv")
     p.add_argument("empirical_csv")
     p.add_argument("--threshold", type=float, default=0.05)

@@ -8,16 +8,17 @@ at the interval ends.  The outer integral runs over the x-offset
 dx = d sin(theta) from the reference node: in theta the disk's half-chord
 d cos(theta) has no square-root singularity, and the integrand is smooth
 between a fixed set of cut angles (the cell's x-range, the marginal
-breakpoints and the disk meeting a hexagon edge).  One fixed Gauss-Legendre
-rule on every cut interval therefore reaches rounding level, with no
-tolerance to choose.
+breakpoints and the disk meeting a hexagon edge).  One 16-point
+Gauss-Legendre panel on every cut interval therefore reaches rounding
+level, with no tolerance to choose.
 
 A cut that does not exist at a given d collapses onto the interval's end,
 so most of the intervals between sorted cuts have zero width.  The rule is
-applied only to the intervals of nonzero width, gathered from a whole block
-of d values into one flat list that remembers each interval's d; the
-integrand runs once on all their nodes, and each d sums its own intervals
-in order.
+applied only to the intervals of nonzero width, gathered from a block of up
+to 256 d values into one flat list that remembers each interval's d; the
+integrand runs once on all their nodes, so a 200-point curve is one call,
+and each d sums its own intervals in order.  At most 21 intervals exist per
+d, so the block size alone bounds the working set.
 
 Every quantity is scale-invariant, so inputs are checked and rescaled to
 side 1 on entry; the internals work at side 1 only.
@@ -41,9 +42,8 @@ __all__ = [
     "distance_cdf_curve",
 ]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
-_SPLIT = 2    # sub-panels per cut interval
-_BLOCK = 16   # d values per integrand evaluation; bounds the working set
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_BLOCK = 256  # d values per integrand evaluation; bounds the working set
 
 _UNIT = HexRegion(1.0)
 _VERTS = np.array(_UNIT.vertices())
@@ -63,19 +63,15 @@ class CdfCurve:
 
 
 def _rule(lo, hi):
-    """Nodes and weights of the fixed rule on each interval [lo[i], hi[i]].
+    """Nodes and weights of one 16-point Gauss-Legendre panel on each [lo[i], hi[i]].
 
-    ``lo`` and ``hi`` have shape (k,); both results have shape
-    (k, _SPLIT * 20), one row per interval, so an interval's sum does not
-    depend on the other intervals evaluated with it.
+    ``lo`` and ``hi`` have shape (k,); both results have shape (k, 16), one
+    row per interval, so an interval's sum does not depend on the other
+    intervals evaluated with it.
     """
     lo, hi = lo[:, None], hi[:, None]
-    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, _SPLIT + 1)
-    a, b = edges[:, :-1, None], edges[:, 1:, None]
-    half = 0.5 * (b - a)
-    shape = (lo.shape[0], _SPLIT * _NODES.size)  # explicit: k may be 0
-    return ((0.5 * (a + b) + half * _NODES).reshape(shape),
-            (half * _WEIGHTS).reshape(shape))
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * _NODES, half * _WEIGHTS
 
 
 def _slice_mass(x, ylo, yhi):

@@ -64,10 +64,6 @@ class HexRegion:
     def center(self) -> Point2:
         return Point2(self.side, SQRT3 * self.side / 2)
 
-    @property
-    def area(self) -> float:
-        return 1.5 * SQRT3 * self.side * self.side
-
     def vertices(self) -> list[Point2]:
         """Counterclockwise vertices starting at (0, sqrt(3)a/2)."""
         a = self.side

@@ -149,10 +149,21 @@ def simulate(config: SimConfig) -> Trace:
     return Trace(positions=positions, waypoints=waypoints, config=config)
 
 
+def _check_reach(region: HexRegion, ref: RefNode) -> None:
+    """Refuse a node whose distance to some point of the cell overflows.
+
+    Every sample lies in the cell, so a finite largest distance keeps each
+    sample's distance finite too, with no pass over the samples.
+    """
+    if not math.isfinite(region.distance_extremes(ref)[1]):
+        raise ValueError("reference node is too far from a cell of this side")
+
+
 def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
     """Per-sample Euclidean distance to the reference node."""
     if len(trace) == 0:
         raise ValueError("trace is empty")
+    _check_reach(HexRegion(trace.config.side), ref)
     x1, y1 = ref.pos
     return np.hypot(trace.positions[:, 0] - x1, trace.positions[:, 1] - y1)
 
@@ -194,6 +205,7 @@ def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_reach(region, ref)
     x1, y1 = ref.pos
     pts = region.sample_uniform_batch(n, rng)
     return np.hypot(pts[:, 0] - x1, pts[:, 1] - y1)

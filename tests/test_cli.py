@@ -219,6 +219,15 @@ class TestBaselineCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_far_reference_is_usage_error(self, tmp_path):
+        # the cell is finite but distances to this node overflow;
+        # this used to write a row "inf,1" and exit 0
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "--side", "5e307", "--ref-x=-1e308", "--ref-y", "0",
+                   "--n", "100", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_self_comparison(self, tmp_path, capsys):

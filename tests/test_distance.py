@@ -138,7 +138,7 @@ class TestDistanceCdfCurve:
             assert rp.distance_cdf(CENTER, 1.0, float(curve.d_values[i])) == curve.cdf_values[i]
 
     def test_integrand_nodes_only_on_wide_intervals(self, monkeypatch):
-        # all 21 cut intervals at 40 nodes would be 198 * 840 = 166,320 nodes
+        # all 21 cut intervals at 16 nodes would be 198 * 336 = 66,528 nodes
         nodes = []
         slice_mass = distance._slice_mass
 
@@ -146,9 +146,11 @@ class TestDistanceCdfCurve:
             nodes.append(np.size(x))
             return slice_mass(x, ylo, yhi)
 
+        _hexagon_mass()  # cached, so the curve below adds no call for it
         monkeypatch.setattr(distance, "_slice_mass", counted)
         rp.distance_cdf_curve(ORIGIN, 1.0, 200)
-        assert 0 < sum(nodes) < 50_000
+        assert 0 < sum(nodes) < 20_000
+        assert len(nodes) == 1  # the whole curve is one integrand call
 
     def test_just_above_exterior_dmin(self):
         d_min, _ = HexRegion(1.0).distance_extremes(FAR)
@@ -161,6 +163,24 @@ class TestMassInternals:
         full = _hexagon_mass()
         big = _disk_mass(*CENTER.pos, np.array([10.0]))[0]
         assert big == pytest.approx(full, abs=1e-8)
+
+
+class TestRuleConvergence:
+    def test_24_point_rule_agrees(self):
+        # a finer panel on every cut interval moves no paper-node curve
+        refs = list(PAPER_NODES.values())
+        base = [rp.distance_cdf_curve(ref, 1.0, 200).cdf_values for ref in refs]
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        _hexagon_mass.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distance, "_NODES", nodes)
+                mp.setattr(distance, "_WEIGHTS", weights)
+                fine = [rp.distance_cdf_curve(ref, 1.0, 200).cdf_values for ref in refs]
+        finally:
+            _hexagon_mass.cache_clear()
+        for b, f in zip(base, fine):
+            assert np.max(np.abs(f - b)) <= 1e-13
 
 
 class TestQuadOracle:

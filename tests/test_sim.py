@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ class TestDistancesTo:
         with pytest.raises(ValueError, match="finite"):
             rp.distances_to(trace, RefNode(Point2(*xy)))
 
+    def test_far_reference_rejected(self):
+        # these distances overflow; they used to come back as inf with a warning
+        trace = rp.simulate(rp.SimConfig(side=5e307, v_min=1e300, v_max=1e300,
+                                         duration=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too far"):
+                rp.distances_to(trace, RefNode(Point2(-1e308, 0.0)))
+            assert np.isfinite(rp.distances_to(trace, RefNode(Point2(0.0, 0.0)))).all()
+
 
 class TestEmpiricalCdf:
     def test_strict_less_convention(self):
@@ -358,6 +369,17 @@ class TestUniformNodeDistances:
         with pytest.raises(ValueError, match="finite"):
             rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(*xy)), 10,
                                       np.random.default_rng(0))
+
+    def test_far_reference_rejected_before_sampling(self):
+        region, rng = HexRegion(5e307), np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too far"):
+                rp.uniform_node_distances(region, RefNode(Point2(-1e308, 0.0)), 10, rng)
+            assert rng.bit_generator.state == state
+            d = rp.uniform_node_distances(region, RefNode(Point2(0.0, 0.0)), 10, rng)
+        assert np.isfinite(d).all()
 
 
 class TestKsStatistic:

@@ -16,7 +16,7 @@ from . import __version__
 from .hexgeom import SQRT3, HexRegion, Point2, RefNode
 from .distance import distance_cdf_curve
 from .marginals import axis_marginal
-from .sim import SimConfig, distances_to, simulate, uniform_node_distances
+from .sim import SimConfig, _check_reach, distances_to, simulate, uniform_node_distances
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
@@ -44,14 +44,17 @@ def _write_csv(path, header, *columns):
         raise SystemExit(f"cannot write {path}: {exc}") from exc
 
 
-def _write_manifest(out_path, command, params, started):
-    lines = [f"command={command}"]
+def _write_manifest(args, started, **extra):
+    """Write ``<out>.manifest``: the command, every parsed option and ``extra``."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    params.update(extra)
+    lines = [f"command={args.command}"]
     for key in sorted(params):
         lines.append(f"{key}={params[key]}")
     lines.append(f"version={__version__}")
     lines.append(f"wall_clock_s={time.monotonic() - started:.3f}")
     try:
-        with open(str(out_path) + ".manifest", "w", newline="") as fh:
+        with open(str(args.out) + ".manifest", "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise SystemExit(f"cannot write manifest: {exc}") from exc
@@ -66,9 +69,7 @@ def cmd_marginals(args) -> int:
     grid = np.linspace(0.0, hi, args.grid_n)
     _write_csv(args.out, ("coord", "pdf", "cdf"),
                grid, m.stationary_pdf(grid), m.stationary_cdf(grid))
-    _write_manifest(args.out, "marginals",
-                    {"side": args.side, "axis": args.axis, "grid_n": args.grid_n},
-                    started)
+    _write_manifest(args, started)
     return EXIT_OK
 
 
@@ -77,10 +78,7 @@ def cmd_distance_cdf(args) -> int:
     ref = RefNode(Point2(args.ref_x, args.ref_y))
     curve = distance_cdf_curve(ref, args.side, args.grid_n)
     _write_csv(args.out, ("d", "cdf"), curve.d_values, curve.cdf_values)
-    _write_manifest(args.out, "distance-cdf",
-                    {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
-                     "grid_n": args.grid_n},
-                    started)
+    _write_manifest(args, started)
     return EXIT_OK
 
 
@@ -92,19 +90,16 @@ def _ecdf_rows(samples):
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    ref = RefNode(Point2(args.ref_x, args.ref_y))  # refuse a bad node before simulating
+    # refuse a bad or unreachably far node before simulating
+    ref = RefNode(Point2(args.ref_x, args.ref_y))
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
                        duration=args.duration, sample_interval=args.dt,
                        seed=args.seed)
+    _check_reach(HexRegion(args.side), ref)
     trace = simulate(config)
     dists = distances_to(trace, ref)
     _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
-    _write_manifest(args.out, "simulate",
-                    {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
-                     "v_min": args.v_min, "v_max": args.v_max,
-                     "duration": args.duration, "dt": args.dt, "seed": args.seed,
-                     "legs": len(trace.waypoints) - 1, "samples": len(trace)},
-                    started)
+    _write_manifest(args, started, legs=len(trace.waypoints) - 1, samples=len(trace))
     return EXIT_OK
 
 
@@ -115,10 +110,7 @@ def cmd_baseline(args) -> int:
                                    RefNode(Point2(args.ref_x, args.ref_y)),
                                    args.n, rng)
     _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
-    _write_manifest(args.out, "baseline",
-                    {"side": args.side, "ref_x": args.ref_x, "ref_y": args.ref_y,
-                     "n": args.n, "seed": args.seed},
-                    started)
+    _write_manifest(args, started)
     return EXIT_OK
 
 

@@ -4,10 +4,13 @@ Each axis follows the same construction: the waypoint (leg endpoint)
 density is the area-ratio marginal of the uniform distribution on the
 hexagon; the stationary CDF is the ratio of the expected leg portion below
 a coordinate to the expected leg length; the stationary PDF is its
-derivative.  All branch coefficients are produced by exact Fraction
-integration in :mod:`rwphex._exact` rather than copied from derived
-formulas, so a transcription slip in either place shows up as a test
-failure instead of silently propagating.
+derivative.  A leg covers coordinate t exactly when its two i.i.d.
+endpoints fall on opposite sides of t, which happens with probability
+2G(t)(1 - G(t)) for the waypoint CDF G, so the expected leg portion below
+x is the integral of 2G(1 - G) from the lower end to x.  ``_leg_below``
+integrates it piece by piece in ``Fraction`` arithmetic, so every branch
+coefficient is an exact rational, computed rather than copied from derived
+formulas.
 
 The y-axis is handled in the rescaled coordinate u = y / (sqrt(3) a), in
 which its waypoint density has rational coefficients; results are mapped
@@ -21,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from ._exact import S, add, const, leg_expectations, mul, variable, coefficients
 from .hexgeom import SQRT3
 from .piecewise import PiecewisePolynomial
 
@@ -38,45 +40,44 @@ __all__ = [
 
 F = Fraction
 
-# Waypoint densities at unit side, as polynomials in the start coordinate.
+# Waypoint densities at unit side, as ascending coefficients per piece.
 # x-axis: triangular ramps over [0, 1/2] and [3/2, 2] around a flat middle.
 _X_BREAKS = [F(0), F(1, 2), F(3, 2), F(2)]
-_X_PIECES = [
-    mul(const(F(4, 3)), variable(S)),                         # 4s/3
-    const(F(2, 3)),                                           # 2/3
-    add(const(F(8, 3)), mul(const(F(-4, 3)), variable(S))),   # 4(2-s)/3
-]
+_X_PIECES = [[F(0), F(4, 3)], [F(2, 3)], [F(8, 3), F(-4, 3)]]  # 4s/3, 2/3, 4(2-s)/3
 # y-axis in u = y/sqrt(3): trapezoid rising to u = 1/2 then falling.
 _U_BREAKS = [F(0), F(1, 2), F(1)]
-_U_PIECES = [
-    add(const(F(2, 3)), mul(const(F(4, 3)), variable(S))),    # 2(1+2u)/3
-    add(const(F(2)), mul(const(F(-4, 3)), variable(S))),      # (6-4u)/3
-]
+_U_PIECES = [[F(2, 3), F(4, 3)], [F(2), F(-4, 3)]]  # 2(1+2u)/3, (6-4u)/3
 
 
-def _to_float(coeffs):
-    return np.array([float(c) for c in coeffs])
+def _leg_below(breaks, pieces):
+    """E(L) and, per piece, the exact coefficients of E(L_below(x)).
+
+    ``pieces[i]`` holds the ascending ``Fraction`` coefficients of the
+    waypoint density on ``[breaks[i], breaks[i+1]]``; ``npoly`` keeps them
+    in object arrays, so every result is an exact ``Fraction``.
+    """
+    g = below = F(0)  # G and E(L_below) at the current piece's lower end
+    branches = []
+    for lo, hi, f in zip(breaks, breaks[1:], pieces):
+        G = npoly.polyint(f, lbnd=lo, k=g)
+        L = npoly.polyint(2 * npoly.polymul(G, npoly.polysub([1], G)), lbnd=lo, k=below)
+        g, below = npoly.polyval(hi, G), npoly.polyval(hi, L)
+        branches.append(L)
+    return below, branches
 
 
 @lru_cache(maxsize=None)
 def _canonical(axis: str):
     """Unit-side tables: waypoint pdf, partial-leg, cdf, pdf, E(L)."""
-    pieces, breaks = (_X_PIECES, _X_BREAKS) if axis == "x" else (_U_PIECES, _U_BREAKS)
-    expected, branches = leg_expectations(pieces, breaks)
-    bp = [float(b) for b in breaks]
-    partial = PiecewisePolynomial(bp, [_to_float(coefficients(b)) for b in branches])
-    cdf = PiecewisePolynomial(
-        bp, [_to_float([c / expected for c in coefficients(b)]) for b in branches]
-    )
-    waypoint = PiecewisePolynomial(
-        bp, [_to_float(coefficients(p, S)) for p in pieces]
-    )
+    breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
+    expected, branches = _leg_below(breaks, pieces)
+    cdf = PiecewisePolynomial(breaks, [b / expected for b in branches])
     return {
         "expected_leg": expected,
-        "partial_leg": partial,
+        "partial_leg": PiecewisePolynomial(breaks, branches),
         "cdf": cdf,
         "pdf": cdf.derivative(),
-        "waypoint_pdf": waypoint,
+        "waypoint_pdf": PiecewisePolynomial(breaks, pieces),
     }
 
 

@@ -153,9 +153,13 @@ def _check_reach(region: HexRegion, ref: RefNode) -> None:
     """Refuse a node whose distance to some point of the cell overflows.
 
     Every sample lies in the cell, so a finite largest distance keeps each
-    sample's distance finite too, with no pass over the samples.
+    sample's distance finite too, with no pass over the samples.  The largest
+    distance is to a vertex; the nearest one is not needed, and its segment
+    projection divides by a squared edge length that underflows to zero for
+    a side below about 1e-162.
     """
-    if not math.isfinite(region.distance_extremes(ref)[1]):
+    x1, y1 = ref.pos
+    if not all(math.isfinite(math.hypot(x1 - v.x, y1 - v.y)) for v in region.vertices()):
         raise ValueError("reference node is too far from a cell of this side")
 
 

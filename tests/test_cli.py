@@ -1,10 +1,12 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rwphex import __version__
 from rwphex.cli import _write_csv, main
 
 SQRT3 = math.sqrt(3.0)
@@ -181,9 +183,13 @@ def test_simulate_refuses_bad_reference_before_simulating(tmp_path, monkeypatch)
 
     monkeypatch.setattr("rwphex.cli.simulate", fail)
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--ref-x", "nan", "--ref-y", "0", "--duration", "10",
-                 "--seed", "1", "--out", str(out)]) == 2
-    assert not out.exists()
+    not_finite = ["--ref-x", "nan", "--ref-y", "0", "--duration", "10"]
+    # finite, but its largest distance to the cell overflows
+    too_far = ["--side", "5e307", "--ref-x=-1e308", "--ref-y", "0",
+               "--v-min", "1e305", "--v-max", "1e305"]
+    for node in (not_finite, too_far):
+        assert main(["simulate", *node, "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestBaselineCommand:
@@ -227,6 +233,15 @@ class TestBaselineCommand:
                    "--n", "100", "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_tiny_side_outside_reference(self, tmp_path):
+        # squared edge lengths underflow to zero at this side; the reach
+        # check used to divide by one and raise ZeroDivisionError
+        out = tmp_path / "base.csv"
+        assert main(["baseline", "--side", "1e-300", "--ref-x", "0", "--ref-y", "0",
+                     "--n", "10", "--seed", "1", "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert np.all((data[:, 0] > 0) & (data[:, 0] <= 2.5e-300))
 
 
 class TestCompareCommand:
@@ -284,3 +299,10 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
     )
     assert result.returncode == 0
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import rwphex as rp
-from rwphex.marginals import _canonical
+from rwphex.marginals import _canonical, _leg_below
 from rwphex.piecewise import DomainError
 
 from conftest import (
@@ -191,3 +192,25 @@ class TestStationaryPdf:
             pdf = rp.axis_marginal(axis, 1.0).stationary_pdf
             for b in pdf.breakpoints[1:-1]:
                 assert pdf(b - 1e-13) == pytest.approx(pdf(b), abs=1e-12)
+
+
+class TestExactTables:
+    def test_uniform_waypoints_give_mean_leg_of_one_third(self):
+        # uniform endpoints on [0, 1]: E|U - V| = 1/3, and the portion of a
+        # leg below x is the integral of 2t(1 - t), that is x**2 - 2x**3/3
+        expected, branches = _leg_below([Fraction(0), Fraction(1)], [[Fraction(1)]])
+        coeffs = list(branches[0])
+        assert type(expected) is Fraction and expected == Fraction(1, 3)
+        assert coeffs == [0, 0, 1, Fraction(-2, 3)]
+        assert all(type(c) is Fraction for c in coeffs)
+
+    def test_every_table_is_pinned(self):
+        # SHA-256 of the breakpoints and coefficient table of each unit-side
+        # table, so any change to a coefficient's last bit shows up here
+        h = hashlib.sha256()
+        for axis in ("x", "y"):
+            for name in ("partial_leg", "cdf", "pdf", "waypoint_pdf"):
+                table = _canonical(axis)[name]
+                h.update(table.breakpoints.tobytes())
+                h.update(table._table.tobytes())
+        assert h.hexdigest() == "38453e3e4a0c54d81f2f4e8fcf18842c27d659b0706bc0d7a59e566dd5c7baf4"

@@ -7,6 +7,8 @@ RWP simulator so each side can validate the other.
 
 __version__ = "0.2.0"
 
+from types import ModuleType as _ModuleType
+
 from .hexgeom import HexRegion, Point2, RefNode, SQRT3
 from .piecewise import DomainError, PiecewisePolynomial
 from .marginals import (
@@ -34,4 +36,5 @@ from .sim import (
     uniform_node_distances,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -13,10 +13,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .hexgeom import SQRT3, HexRegion, Point2, RefNode
+from .hexgeom import HexRegion, Point2, RefNode
 from .distance import distance_cdf_curve
 from .marginals import axis_marginal
-from .sim import SimConfig, _check_reach, distances_to, simulate, uniform_node_distances
+from .sim import SimConfig, distances_to, simulate, uniform_node_distances
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
@@ -65,8 +65,7 @@ def cmd_marginals(args) -> int:
     if args.grid_n < 2:
         raise ValueError("--grid-n must be at least 2")
     m = axis_marginal(args.axis, args.side)
-    hi = 2 * args.side if args.axis == "x" else SQRT3 * args.side
-    grid = np.linspace(0.0, hi, args.grid_n)
+    grid = np.linspace(*m.stationary_cdf.domain, args.grid_n)
     _write_csv(args.out, ("coord", "pdf", "cdf"),
                grid, m.stationary_pdf(grid), m.stationary_cdf(grid))
     _write_manifest(args, started)
@@ -95,7 +94,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
                        duration=args.duration, sample_interval=args.dt,
                        seed=args.seed)
-    _check_reach(HexRegion(args.side), ref)
+    HexRegion(args.side).distance_extremes(ref)
     trace = simulate(config)
     dists = distances_to(trace, ref)
     _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))

@@ -20,8 +20,8 @@ integrand runs once on all their nodes, so a 200-point curve is one call,
 and each d sums its own intervals in order.  At most 21 intervals exist per
 d, so the block size alone bounds the working set.
 
-Every quantity is scale-invariant, so inputs are checked and rescaled to
-side 1 on entry; the internals work at side 1 only.
+Every quantity is scale-invariant, so ``hexgeom._unit_extremes`` checks the
+inputs and rescales them to side 1 on entry; the internals work at side 1 only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, HexRegion, Point2, RefNode
+from .hexgeom import SQRT3, _UNIT, RefNode, _unit_extremes
 from .marginals import axis_marginal
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # d values per integrand evaluation; bounds the working set
 
-_UNIT = HexRegion(1.0)
 _VERTS = np.array(_UNIT.vertices())
 _EDGES = np.roll(_VERTS, -1, axis=0) - _VERTS
 # cell ends and x-marginal breakpoints; lines where the y-marginal or the
@@ -128,9 +127,8 @@ def _disk_mass(x1: float, y1: float, d):
     return np.bincount(row, weights=per_interval, minlength=len(d))
 
 
-def _cdf(x1: float, y1: float, d):
-    """Distance CDF at side 1 for each distance in the array d."""
-    d_min, d_max = _UNIT.distance_extremes(RefNode(Point2(x1, y1)))
+def _cdf(x1: float, y1: float, d, d_min: float, d_max: float):
+    """Distance CDF at side 1 for each d in an array, given the node's extremes there."""
     out = np.where(d >= d_max, 1.0, 0.0)
     inner = np.flatnonzero((d > d_min) & (d < d_max))
     for i in range(0, inner.size, _BLOCK):
@@ -139,39 +137,27 @@ def _cdf(x1: float, y1: float, d):
     return out
 
 
-def _unit_ref(ref: RefNode, a: float) -> tuple[float, float]:
-    """Check the side and the node's scale; return the node at side 1."""
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("side must be positive and finite")
-    x, y = ref.pos
-    x1, y1 = x / a, y / a
-    # distances from the node must be finite at the caller's scale and at side 1
-    if not (math.isfinite(math.hypot(x, y)) and math.isfinite(math.hypot(x1, y1))):
-        raise ValueError("reference node is too far from a cell of this side")
-    return x1, y1
-
-
 def product_mass_hexagon(ref: RefNode, a: float) -> float:
     """Mass of f_X * f_Y on the hexagon: one constant for every ref and side."""
-    _unit_ref(ref, a)
+    _unit_extremes(ref, a)
     return _hexagon_mass()
 
 
 def distance_cdf(ref: RefNode, a: float, d: float) -> float:
     """P(distance to ref < d) for the stationary mobile node."""
-    x1, y1 = _unit_ref(ref, a)
+    (x1, y1), d_min, d_max = _unit_extremes(ref, a)
     if not (d >= 0 and math.isfinite(d)):
         raise ValueError("d must be nonnegative and finite")
-    return float(_cdf(x1, y1, np.array([d / a], dtype=float))[0])
+    return float(_cdf(x1, y1, np.array([d / a], dtype=float), d_min, d_max)[0])
 
 
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    x1, y1 = _unit_ref(ref, a)
-    d_min, d_max = _UNIT.distance_extremes(RefNode(Point2(x1, y1)))
+    (x1, y1), d_min, d_max = _unit_extremes(ref, a)
     if not math.isfinite(a * d_max):
         raise ValueError("the largest distance overflows at this side")
     grid = np.linspace(d_min, d_max, n_points)
-    return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid), ref=ref, side=a)
+    return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid, d_min, d_max),
+                    ref=ref, side=a)

@@ -3,6 +3,10 @@
 The hexagon of side ``a`` sits in the bounding box [0, 2a] x [0, sqrt(3)a],
 with two vertices on the x-extremes at mid-height and a flat edge on the
 bottom between x = a/2 and x = 3a/2.
+
+Distances from a node to the cell are computed at side 1, on the node
+divided by the side, so they work at any side; every check in the library
+that a node is within reach of the cell starts from ``_unit_extremes``.
 """
 
 from __future__ import annotations
@@ -60,10 +64,6 @@ class HexRegion:
     def height(self) -> float:
         return SQRT3 * self.side
 
-    @property
-    def center(self) -> Point2:
-        return Point2(self.side, SQRT3 * self.side / 2)
-
     def vertices(self) -> list[Point2]:
         """Counterclockwise vertices starting at (0, sqrt(3)a/2)."""
         a = self.side
@@ -79,28 +79,19 @@ class HexRegion:
 
     def contains(self, p: Point2) -> bool:
         """Closed containment test; boundary points count as inside."""
-        a = self.side
-        q = SQRT3 * a
-        X = p[0] - a
-        Y = p[1] - q / 2
-        tol = 1e-12 * a
-        return (
-            abs(Y) <= q / 2 + tol
-            and abs(SQRT3 * X + Y) <= q + tol
-            and abs(SQRT3 * X - Y) <= q + tol
-        )
+        return bool(self.contains_mask(p[0], p[1]))
 
     def contains_mask(self, xs, ys):
-        """Vectorized closed containment for coordinate arrays."""
+        """Closed containment of coordinate arrays, or of two floats in float arithmetic."""
         a = self.side
         q = SQRT3 * a
-        X = np.asarray(xs, dtype=float) - a
-        Y = np.asarray(ys, dtype=float) - q / 2
+        X = xs - a
+        Y = ys - q / 2
         tol = 1e-12 * a
         return (
-            (np.abs(Y) <= q / 2 + tol)
-            & (np.abs(SQRT3 * X + Y) <= q + tol)
-            & (np.abs(SQRT3 * X - Y) <= q + tol)
+            (abs(Y) <= q / 2 + tol)
+            & (abs(SQRT3 * X + Y) <= q + tol)
+            & (abs(SQRT3 * X - Y) <= q + tol)
         )
 
     def sample_uniform_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,14 +112,33 @@ class HexRegion:
 
     def distance_extremes(self, ref: RefNode) -> tuple[float, float]:
         """(d_min, d_max) of the distance from ref to points of the hexagon."""
-        px, py = ref.pos
-        verts = self.vertices()
-        d_max = max(math.hypot(px - v.x, py - v.y) for v in verts)
-        if self.contains(ref.pos):
-            return 0.0, d_max
-        d_min = min(
-            _segment_distance(px, py, verts[i].x, verts[i].y,
-                              verts[(i + 1) % 6].x, verts[(i + 1) % 6].y)
-            for i in range(6)
-        )
-        return d_min, d_max
+        a = self.side
+        _, d_min, d_max = _unit_extremes(ref, a)
+        if not math.isfinite(a * d_max):
+            raise ValueError("reference node is too far from a cell of this side")
+        return a * d_min, a * d_max
+
+
+_UNIT = HexRegion(1.0)
+
+
+def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
+    """The node at side 1 and its (d_min, d_max) there; ValueError if d_max overflows.
+
+    At side 1 each squared edge length is 1, and nothing overflows unless d_max does.
+    """
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError("side must be positive and finite")
+    px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)
+    verts = _UNIT.vertices()
+    d_max = max(math.hypot(px - v.x, py - v.y) for v in verts)
+    if not math.isfinite(d_max):
+        raise ValueError("reference node is too far from a cell of this side")
+    if _UNIT.contains(p):
+        return p, 0.0, d_max
+    d_min = min(
+        _segment_distance(px, py, verts[i].x, verts[i].y,
+                          verts[(i + 1) % 6].x, verts[(i + 1) % 6].y)
+        for i in range(6)
+    )
+    return p, d_min, d_max

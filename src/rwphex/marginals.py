@@ -122,7 +122,7 @@ def axis_marginal(axis: str, side: float) -> AxisMarginal:
 
 
 # The benchmark's point-queries workload calls these four by name; they go
-# once it calls the AxisMarginal fields instead (ROADMAP item 1).
+# once it calls the AxisMarginal fields instead (ROADMAP item 6).
 def stationary_cdf_x(x: float, a: float) -> float:
     return axis_marginal("x", a).stationary_cdf(x)
 

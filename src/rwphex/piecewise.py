@@ -79,24 +79,6 @@ class PiecewisePolynomial:
             self.breakpoints, [npoly.polyder(c) for c in self.coeffs]
         )
 
-    def antiderivative(self) -> "PiecewisePolynomial":
-        """Continuous antiderivative vanishing at the left domain end."""
-        pieces = []
-        offset = 0.0
-        for i, c in enumerate(self.coeffs):
-            anti = npoly.polyint(c)
-            left = self.breakpoints[i]
-            shift = offset - npoly.polyval(left, anti)
-            anti = anti.copy()
-            anti[0] += shift
-            pieces.append(anti)
-            offset = npoly.polyval(self.breakpoints[i + 1], anti)
-        return PiecewisePolynomial(self.breakpoints, pieces)
-
-    def integrate(self, lo, hi) -> float:
-        anti = self.antiderivative()
-        return anti(hi) - anti(lo)
-
     def scaled_argument(self, alpha: float) -> "PiecewisePolynomial":
         """Return q with q(t) = self(t / alpha), for alpha > 0."""
         if alpha <= 0:

@@ -21,6 +21,10 @@ block size gives another trace from the same seed, with the same
 distribution.  A configuration that needs more than ``MAX_SAMPLES`` samples,
 or is projected to need more than ``MAX_LEGS`` legs, raises ``ValueError``
 instead of running.
+
+Every sample lies in the cell, so the reach check of
+``HexRegion.distance_extremes`` keeps each sample's distance to the node
+finite, with no pass over the samples.
 """
 
 from __future__ import annotations
@@ -149,25 +153,11 @@ def simulate(config: SimConfig) -> Trace:
     return Trace(positions=positions, waypoints=waypoints, config=config)
 
 
-def _check_reach(region: HexRegion, ref: RefNode) -> None:
-    """Refuse a node whose distance to some point of the cell overflows.
-
-    Every sample lies in the cell, so a finite largest distance keeps each
-    sample's distance finite too, with no pass over the samples.  The largest
-    distance is to a vertex; the nearest one is not needed, and its segment
-    projection divides by a squared edge length that underflows to zero for
-    a side below about 1e-162.
-    """
-    x1, y1 = ref.pos
-    if not all(math.isfinite(math.hypot(x1 - v.x, y1 - v.y)) for v in region.vertices()):
-        raise ValueError("reference node is too far from a cell of this side")
-
-
 def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
     """Per-sample Euclidean distance to the reference node."""
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    _check_reach(HexRegion(trace.config.side), ref)
+    HexRegion(trace.config.side).distance_extremes(ref)  # refuses an unreachable node
     x1, y1 = ref.pos
     return np.hypot(trace.positions[:, 0] - x1, trace.positions[:, 1] - y1)
 
@@ -209,7 +199,7 @@ def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_reach(region, ref)
+    region.distance_extremes(ref)  # refuses an unreachable node before drawing
     x1, y1 = ref.pos
     pts = region.sample_uniform_batch(n, rng)
     return np.hypot(pts[:, 0] - x1, pts[:, 1] - y1)

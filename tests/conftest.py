@@ -196,6 +196,13 @@ def _pointwise(pp):
     return f
 
 
+def pdf_mass(pp):
+    """Mass of a piecewise density over its domain, by quad cut at its breakpoints."""
+    from scipy.integrate import quad
+
+    return quad(pp, *pp.domain, points=pp.breakpoints[1:-1])[0]
+
+
 def quad_product_mass(ref=None, d=None):
     """f_X * f_Y mass on the hexagon, or on hexagon ∩ disk(ref, d), by nested quad.
 

@@ -2,10 +2,12 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import rwphex
 from rwphex import __version__
 from rwphex.cli import _write_csv, main
 
@@ -299,6 +301,11 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
     )
     assert result.returncode == 0
+
+
+def test_star_import_binds_no_module():
+    assert not [name for name in rwphex.__all__
+                if isinstance(getattr(rwphex, name), ModuleType)]
 
 
 def test_version_matches_pyproject():

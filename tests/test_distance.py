@@ -230,6 +230,19 @@ class TestNonFiniteInput:
             curve = rp.distance_cdf_curve(ORIGIN, 5e307, 5)
         assert np.isfinite(curve.d_values).all()
 
+    def test_huge_side_answers_as_at_side_one(self):
+        assert rp.distance_cdf(ORIGIN, 1e308, 1e308) == rp.distance_cdf(ORIGIN, 1.0, 1.0)
+        # the node is (-2, 0) at side 1, and its largest distance overflows at 5e307
+        far = RefNode(Point2(-1e308, 0.0))
+        want = rp.distance_cdf(RefNode(Point2(-2.0, 0.0)), 1.0, 3.0)
+        assert rp.distance_cdf(far, 5e307, 1.5e308) == want
+
+    def test_node_far_at_caller_scale_but_finite_at_side_one(self):
+        # |ref| overflows, but ref / side is (1.5e8, 1.5e8)
+        ref = RefNode(Point2(1.5e308, 1.5e308))
+        assert rp.distance_cdf(ref, 1e300, 1.0) == 0.0
+        assert rp.product_mass_hexagon(ref, 1e300) == rp.product_mass_hexagon(ORIGIN, 1.0)
+
     def test_tiny_scale_returns(self):
         got = float(run_bounded("rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1e-200, 1e-200)"))
         assert got == pytest.approx(rp.distance_cdf(ORIGIN, 1.0, 1.0), abs=1e-12)

@@ -151,8 +151,18 @@ class TestDistanceExtremes:
             assert d_min <= d_max
 
     def test_scaling(self):
-        for lam in (0.5, 2.0, 10.0):
+        # at 1e-300 and 1e300 a squared edge length underflows or overflows
+        for lam in (0.5, 2.0, 10.0, 1e-300, 1e300):
             d1 = HexRegion(1.0).distance_extremes(RefNode(Point2(2.2, -0.4)))
             d2 = HexRegion(lam).distance_extremes(RefNode(Point2(2.2 * lam, -0.4 * lam)))
             assert d2[0] == pytest.approx(lam * d1[0], rel=1e-12)
             assert d2[1] == pytest.approx(lam * d1[1], rel=1e-12)
+
+    def test_nearest_distance_at_huge_side(self):
+        side = 1e160
+        d_min, _ = HexRegion(side).distance_extremes(RefNode(Point2(side, -1e158)))
+        assert d_min == pytest.approx(0.01 * side, rel=1e-12)
+
+    def test_overflowing_largest_distance_rejected(self):
+        with pytest.raises(ValueError, match="too far"):
+            HexRegion(5e307).distance_extremes(RefNode(Point2(-1e308, 0.0)))

@@ -43,19 +43,6 @@ def test_derivative(ramp):
     assert d(2.0) == 0.0
 
 
-def test_antiderivative_is_continuous(ramp):
-    anti = ramp.antiderivative()
-    assert anti(0.0) == 0.0
-    left = anti(1.0 - 1e-10)
-    assert anti(1.0) == pytest.approx(left, abs=1e-9)
-    assert anti(3.0) == pytest.approx(1.0 + 4.0)
-
-
-def test_integrate(ramp):
-    assert ramp.integrate(0.0, 3.0) == pytest.approx(5.0)
-    assert ramp.integrate(0.5, 2.0) == pytest.approx(0.75 + 2.0)
-
-
 def test_scaled_argument(ramp):
     q = ramp.scaled_argument(2.0)
     assert q.domain == (0.0, 6.0)

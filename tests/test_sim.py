@@ -381,6 +381,14 @@ class TestUniformNodeDistances:
             d = rp.uniform_node_distances(region, RefNode(Point2(0.0, 0.0)), 10, rng)
         assert np.isfinite(d).all()
 
+    def test_node_out_of_reach_at_side_one_rejected_before_sampling(self):
+        # (1e10, 0) is 1e310 sides away from a cell of side 1e-300
+        region, rng = HexRegion(1e-300), np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="too far"):
+            rp.uniform_node_distances(region, RefNode(Point2(1e10, 0.0)), 10, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestKsStatistic:
     def test_inverse_transform_samples(self):

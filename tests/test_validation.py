@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rwphex as rp
-from rwphex.hexgeom import SQRT3, Point2, RefNode
+from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 
 FIELDS = ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg")
 WRAPPERS = {"x": (rp.stationary_cdf_x, rp.stationary_pdf_x),
@@ -71,6 +71,24 @@ def test_non_finite_ref_node_raises(other, bad, bad_first):
     xy = (bad, other) if bad_first else (other, bad)
     with pytest.raises(ValueError, match="finite"):
         RefNode(Point2(*xy))
+
+
+@PROPERTY
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0),
+       x=st.floats(min_value=-5.0, max_value=7.0),
+       y=st.floats(min_value=-5.0, max_value=7.0))
+def test_distance_extremes_at_any_side(exponent, x, y):
+    side = 10.0 ** exponent
+    want = HexRegion(1.0).distance_extremes(RefNode(Point2(x, y)))
+    try:
+        d_min, d_max = HexRegion(side).distance_extremes(RefNode(Point2(x * side, y * side)))
+    except ValueError:
+        return
+    assert math.isfinite(d_max) and 0.0 <= d_min <= d_max
+    # relative to the side: a node a rounding error off the boundary has a
+    # d_min near zero that only the side's scale can measure
+    for got, unit in ((d_min, want[0]), (d_max, want[1])):
+        assert got == pytest.approx(side * unit, rel=1e-12, abs=1e-12 * side)
 
 
 def test_kept_wrappers_are_bit_identical():

@@ -32,7 +32,7 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT, RefNode, _unit_extremes
+from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _unit_extremes
 from .marginals import axis_marginal
 
 __all__ = [
@@ -45,8 +45,12 @@ __all__ = [
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # d values per integrand evaluation; bounds the working set
 
-_VERTS = np.array(_UNIT.vertices())
+_VERTS = np.array(_UNIT_VERTS)
 _EDGES = np.roll(_VERTS, -1, axis=0) - _VERTS
+_EDGE_LEN2 = (_EDGES * _EDGES).sum(axis=1)
+# each edge's start and step in x, once for each of its two circle crossings
+_EDGE_X0 = np.tile(_VERTS[:, 0], 2)
+_EDGE_DX = np.tile(_EDGES[:, 0], 2)
 # cell ends and x-marginal breakpoints; lines where the y-marginal or the
 # slice bounds change piece
 _X_BREAKS = np.array([0.0, 0.5, 1.5, 2.0])
@@ -73,13 +77,19 @@ def _rule(lo, hi):
     return 0.5 * (lo + hi) + half * _NODES, half * _WEIGHTS
 
 
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) as two ufunc calls, without its Python wrapper; a tie keeps v."""
+    return np.minimum(hi, np.maximum(lo, v))
+
+
 def _slice_mass(x, ylo, yhi):
     """f_X(x) times the f_Y mass of the slice [ylo, yhi] intersected with the cell."""
     cell_lo = SQRT3 * np.maximum(0.0, np.maximum(0.5 - x, x - 1.5))
     ys = np.maximum(ylo, cell_lo)
     ye = np.minimum(yhi, SQRT3 - cell_lo)
-    F_y = axis_marginal("y", 1.0).stationary_cdf
-    w = F_y(np.clip(ye, 0.0, SQRT3)) - F_y(np.clip(ys, 0.0, SQRT3))
+    # one y-CDF call on both ends
+    F = axis_marginal("y", 1.0).stationary_cdf(_clip(np.concatenate((ye, ys)), 0.0, SQRT3))
+    w = F[:len(ye)] - F[len(ye):]
     return axis_marginal("x", 1.0).stationary_pdf(x) * np.where(ye > ys, w, 0.0)
 
 
@@ -101,20 +111,19 @@ def _disk_mass(x1: float, y1: float, d):
     # A cut is NaN where its crossing does not exist; overflow at extreme
     # scales also ends in NaN or a cut outside [t_lo, t_hi].
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = np.arcsin(np.clip((_X_BREAKS - x1) / d, -1.0, 1.0))
+        xs = np.arcsin(_clip((_X_BREAKS - x1) / d, -1.0, 1.0))
         # the circle meets the line y = y_c where cos(theta) = |y_c - y1| / d
         ys = np.arccos(np.abs(_Y_LINES - y1) / d)
         # and edge P + t V where |P - ref + t V| = d with 0 <= t <= 1
-        b = np.sum(_EDGES * w, axis=1)
-        A = np.sum(_EDGES * _EDGES, axis=1)
-        root = np.sqrt(b * b - A * (np.sum(w * w, axis=1) - d * d))
-        t = np.concatenate(((-b - root) / A, (-b + root) / A), axis=1)
+        b = (_EDGES * w).sum(axis=1)
+        root = np.sqrt(b * b - _EDGE_LEN2 * ((w * w).sum(axis=1) - d * d))
+        t = np.concatenate(((-b - root) / _EDGE_LEN2, (-b + root) / _EDGE_LEN2), axis=1)
         t[(t < 0.0) | (t > 1.0)] = np.nan
-        edge = np.arcsin((np.tile(w[:, 0], 2) + t * np.tile(_EDGES[:, 0], 2)) / d)
+        edge = np.arcsin((_EDGE_X0 - x1 + t * _EDGE_DX) / d)
     # fmax/fmin skip NaN, so an absent cut collapses onto t_lo
     t_lo, t_hi = xs[:, :1], xs[:, -1:]
     cuts = np.fmin(np.fmax(np.concatenate((xs, ys, -ys, edge), axis=1), t_lo), t_hi)
-    cuts = np.sort(cuts, axis=-1)
+    cuts.sort(axis=-1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     # intervals of nonzero width in row order, and the row (d) of each;
     # the zero-width ones would only add exact zeros
@@ -122,8 +131,8 @@ def _disk_mass(x1: float, y1: float, d):
     theta, weight = _rule(lo[row, col], hi[row, col])
     dr = d[row]
     c = dr * np.cos(theta)
-    x = np.clip(x1 + dr * np.sin(theta), 0.0, 2.0)
-    per_interval = np.sum(weight * c * _slice_mass(x, y1 - c, y1 + c), axis=-1)
+    x = _clip(x1 + dr * np.sin(theta), 0.0, 2.0)
+    per_interval = (weight * c * _slice_mass(x, y1 - c, y1 + c)).sum(axis=-1)
     return np.bincount(row, weights=per_interval, minlength=len(d))
 
 
@@ -133,7 +142,7 @@ def _cdf(x1: float, y1: float, d, d_min: float, d_max: float):
     inner = np.flatnonzero((d > d_min) & (d < d_max))
     for i in range(0, inner.size, _BLOCK):
         idx = inner[i:i + _BLOCK]
-        out[idx] = np.clip(_disk_mass(x1, y1, d[idx]) / _hexagon_mass(), 0.0, 1.0)
+        out[idx] = _clip(_disk_mass(x1, y1, d[idx]) / _hexagon_mass(), 0.0, 1.0)
     return out
 
 

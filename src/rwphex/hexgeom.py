@@ -120,6 +120,7 @@ class HexRegion:
 
 
 _UNIT = HexRegion(1.0)
+_UNIT_VERTS = _UNIT.vertices()
 
 
 def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
@@ -130,7 +131,7 @@ def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("side must be positive and finite")
     px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)
-    verts = _UNIT.vertices()
+    verts = _UNIT_VERTS
     d_max = max(math.hypot(px - v.x, py - v.y) for v in verts)
     if not math.isfinite(d_max):
         raise ValueError("reference node is too far from a cell of this side")

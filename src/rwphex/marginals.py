@@ -103,6 +103,11 @@ class AxisMarginal:
 # without limit, and a repeated side still finds its tables.
 @lru_cache(maxsize=128)
 def axis_marginal(axis: str, side: float) -> AxisMarginal:
+    """The marginal tables of one axis at one side.
+
+    ValueError for a side at which a coefficient of the scaled tables is not
+    a finite normal float: below about 2.5e-62 or above about 1.4e61.
+    """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     if not (side > 0 and math.isfinite(side)):

@@ -37,6 +37,14 @@ class TestMarginalsCommand:
         assert data[-1, 0] == pytest.approx(SQRT3, rel=1e-12)
         assert data[-1, 2] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("axis,side", [("x", "1e300"), ("y", "1e-300")])
+    def test_side_beyond_table_range_is_usage_error(self, tmp_path, axis, side):
+        # the scaled coefficients leave the float range; no table is written
+        out = tmp_path / "m.csv"
+        assert main(["marginals", "--axis", axis, "--side", side, "--grid-n", "5",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_grid_n_one_is_usage_error(self, tmp_path):
         out = tmp_path / "bad.csv"
         assert main(["marginals", "--axis", "x", "--grid-n", "1", "--out", str(out)]) == 2

@@ -11,6 +11,7 @@ import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex import distance
 from rwphex.distance import _BLOCK, _disk_mass, _hexagon_mass
+from rwphex.piecewise import PiecewisePolynomial
 
 from conftest import mc_distance_cdf, quad_distance_cdf
 
@@ -151,6 +152,21 @@ class TestDistanceCdfCurve:
         rp.distance_cdf_curve(ORIGIN, 1.0, 200)
         assert 0 < sum(nodes) < 20_000
         assert len(nodes) == 1  # the whole curve is one integrand call
+
+    def test_one_y_cdf_and_one_x_pdf_call(self, monkeypatch):
+        # a scalar query evaluates the y-CDF once, on both slice ends, and the x-PDF once
+        calls = []
+        call = PiecewisePolynomial.__call__
+
+        def counted(pp, t):
+            calls.append(pp)
+            return call(pp, t)
+
+        _hexagon_mass()  # cached, so the query below adds no call for it
+        monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
+        rp.distance_cdf(CENTER, 1.0, 0.5)
+        assert calls == [rp.axis_marginal("y", 1.0).stationary_cdf,
+                         rp.axis_marginal("x", 1.0).stationary_pdf]
 
     def test_just_above_exterior_dmin(self):
         d_min, _ = HexRegion(1.0).distance_extremes(FAR)

@@ -154,6 +154,22 @@ class TestStationaryCdf:
                     rp.stationary_cdf_y(y, 1.0), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("axis,side", [("x", 1e300), ("y", 1e-300), ("x", 1e65), ("y", 1e65)])
+    def test_side_beyond_table_range_is_refused(self, axis, side):
+        # alpha ** -k overflows or underflows there, and the tables gave
+        # CDF values down to -28.7 (x at 1e300), NaN (y at 1e-300) and 0.1845
+        # at the y midpoint at 1e65
+        with pytest.raises(ValueError, match="float range"):
+            rp.axis_marginal(axis, side)
+        hi = 2.0 if axis == "x" else SQRT3
+        with pytest.raises(ValueError, match="float range"):
+            getattr(rp, f"stationary_cdf_{axis}")(0.5 * hi * side, side)
+
+    @pytest.mark.parametrize("side", [1e-61, 1e60])
+    def test_midpoint_at_ends_of_table_range(self, side):
+        assert rp.stationary_cdf_x(side, side) == pytest.approx(0.5, rel=1e-12)
+        assert rp.stationary_cdf_y(0.5 * SQRT3 * side, side) == pytest.approx(0.5, rel=1e-12)
+
 
 class TestStationaryPdf:
     def test_x_midpoint_value(self):

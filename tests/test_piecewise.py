@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from rwphex.marginals import axis_marginal
+from rwphex.hexgeom import SQRT3
+from rwphex.marginals import _canonical, axis_marginal
 from rwphex.piecewise import DomainError, PiecewisePolynomial
 
 
@@ -83,3 +84,39 @@ def test_marginal_tables_match_polyval_bytes(axis, side):
         assert pp(t).tobytes() == per_piece_polyval(pp, t).tobytes()
         for v in t[:12]:
             assert np.float64(pp(float(v))).tobytes() == per_piece_polyval(pp, np.array([v])).tobytes()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("side", [0.37, 2.5, 1000.0])
+def test_derived_tables_match_per_piece_formula(axis, side):
+    # each piece scaled on its own, c * alpha ** -k and then the field's factor
+    alpha = side if axis == "x" else SQRT3 * side
+    m = axis_marginal(axis, side)
+    tab = _canonical(axis)
+    for field, name, factor in (("waypoint_pdf", "waypoint_pdf", 1.0 / alpha),
+                                ("stationary_pdf", "pdf", 1.0 / alpha),
+                                ("stationary_cdf", "cdf", None),
+                                ("partial_leg", "partial_leg", alpha)):
+        pp = getattr(m, field)
+        for got, c in zip(pp.coeffs, tab[name].coeffs, strict=True):
+            want = c * alpha ** -np.arange(c.size)
+            if factor is not None:
+                want = want * factor
+            assert got.tobytes() == want.tobytes()
+        sizes = [c.size for c in pp.coeffs]
+        padded = np.arange(pp._table.shape[0])[:, None] >= np.array(sizes)
+        assert pp._table[padded].tobytes() == np.zeros(padded.sum()).tobytes()
+
+
+def test_derived_table_out_of_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        PiecewisePolynomial([0.0, 1.0], [[1.0, 1.0, 1.0]]).scaled_argument(1e-160)
+    with pytest.raises(ValueError, match="float range"):
+        PiecewisePolynomial([0.0, 1.0], [[1.0, 1.0]]) * 1e-310  # subnormal
+    # a zero coefficient or padded entry stays +0.0, even where its factor
+    # overflows or is negative
+    q = PiecewisePolynomial([0.0, 1.0], [[1.0, 0.0, 0.0]]).scaled_argument(1e-200)
+    assert q._table.tobytes() == np.array([[1.0], [0.0], [0.0]]).tobytes()
+    assert q(0.5e-200) == 1.0
+    r = PiecewisePolynomial([0.0, 1.0, 2.0], [[1.0, 2.0], [3.0]]) * -2.0
+    assert r._table.tobytes() == np.array([[-2.0, -6.0], [-4.0, 0.0]]).tobytes()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
+from rwphex.piecewise import DomainError
 
 FIELDS = ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg")
 WRAPPERS = {"x": (rp.stationary_cdf_x, rp.stationary_pdf_x),
@@ -55,6 +56,33 @@ def test_out_of_domain_raises(axis, side, data):
     for fn in _evaluators(axis, side):
         with pytest.raises(ValueError):
             fn(t)
+
+
+@PROPERTY
+@given(axis=axes, side=st.sampled_from((0.37, 1.0, 1000.0)), name=st.sampled_from(FIELDS),
+       data=st.data())
+def test_scalar_branch_equals_array_path(axis, side, name, data):
+    pp = getattr(rp.axis_marginal(axis, side), name)
+    lo, hi = pp.domain
+    bp = pp.breakpoints
+    # the breakpoints and their neighbours; those just outside lie within the tolerance
+    near = np.concatenate((bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)))
+    t = data.draw(st.one_of(st.sampled_from(near.tolist()), st.floats(lo, hi),
+                            st.integers(math.ceil(lo), math.floor(hi))))
+    want = pp(np.array([t], dtype=float))[0].tobytes()
+    for arg in (t, float(t), np.float64(t), np.array(t, dtype=float)):
+        got = pp(arg)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want
+    margin = 1e-6 * max(hi, 1.0)  # well past the 1e-9 relative tolerance
+    bad = data.draw(st.one_of(
+        st.sampled_from(NON_FINITE),
+        st.floats(max_value=lo - margin, allow_infinity=False),
+        st.floats(min_value=hi + margin, allow_infinity=False),
+    ))
+    for arg in (bad, np.float64(bad), np.array(bad), np.array([bad])):
+        with pytest.raises(DomainError):
+            pp(arg)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])

@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _unit_extremes
-from .marginals import axis_marginal
+from .marginals import _unit_tables
 
 __all__ = [
     "CdfCurve",
@@ -88,9 +88,9 @@ def _slice_mass(x, ylo, yhi):
     ys = np.maximum(ylo, cell_lo)
     ye = np.minimum(yhi, SQRT3 - cell_lo)
     # one y-CDF call on both ends
-    F = axis_marginal("y", 1.0).stationary_cdf(_clip(np.concatenate((ye, ys)), 0.0, SQRT3))
+    F = _unit_tables("y")["stationary_cdf"](_clip(np.concatenate((ye, ys)), 0.0, SQRT3))
     w = F[:len(ye)] - F[len(ye):]
-    return axis_marginal("x", 1.0).stationary_pdf(x) * np.where(ye > ys, w, 0.0)
+    return _unit_tables("x")["stationary_pdf"](x) * np.where(ye > ys, w, 0.0)
 
 
 @cache

@@ -1,4 +1,4 @@
-"""Stationary per-axis marginals of a random-waypoint node in the hexagon.
+"""The paper's projected-leg per-axis marginals of a random-waypoint node.
 
 Each axis follows the same construction: the waypoint (leg endpoint)
 density is the area-ratio marginal of the uniform distribution on the
@@ -10,11 +10,13 @@ endpoints fall on opposite sides of t, which happens with probability
 x is the integral of 2G(1 - G) from the lower end to x.  ``_leg_below``
 integrates it piece by piece in ``Fraction`` arithmetic, so every branch
 coefficient is an exact rational, computed rather than copied from derived
-formulas.
+formulas.  Weighting a leg by its projected, not its 2-D, length is the
+paper's model; the node's exact per-axis law differs from it (README).
 
-The y-axis is handled in the rescaled coordinate u = y / (sqrt(3) a), in
-which its waypoint density has rational coefficients; results are mapped
-back by argument scaling.
+The y-axis is derived in u = y / sqrt(3), where its waypoint density has
+rational coefficients, then mapped once to cell coordinates.  At side a,
+read from one side-1 table each, the CDF is F_1(t / a), each density
+f_1(t / a) / a and the partial leg a L_1(t / a): a subnormal a overflows.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
+import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .hexgeom import SQRT3
-from .piecewise import PiecewisePolynomial
+from .hexgeom import SQRT3, HexRegion
+from .piecewise import DomainError, PiecewisePolynomial
 
 __all__ = [
     "AxisMarginal",
@@ -81,49 +85,82 @@ def _canonical(axis: str):
     }
 
 
+@lru_cache(maxsize=None)
+def _unit_tables(axis: str) -> dict:
+    """Side-1 tables in cell coordinates, keyed by ``AxisMarginal`` field, and E(L)."""
+    tab = _canonical(axis)
+    alpha = 1.0 if axis == "x" else SQRT3  # cell coordinate per canonical unit
+
+    def cell(name, factor):
+        coeffs = tab[name].coeffs
+        scale = alpha ** -np.arange(max(c.size for c in coeffs))
+        return PiecewisePolynomial(tab[name].breakpoints * alpha,
+                                   [c * scale[:c.size] * factor for c in coeffs])
+
+    return {"waypoint_pdf": cell("waypoint_pdf", 1.0 / alpha),
+            "stationary_pdf": cell("pdf", 1.0 / alpha),
+            "stationary_cdf": cell("cdf", 1.0),
+            "partial_leg": cell("partial_leg", alpha),
+            "expected_leg": float(tab["expected_leg"]) * alpha}
+
+
+class SideScaled(NamedTuple):
+    """The checked evaluator ``factor * table(t / side)`` of one quantity at one side.
+
+    ``DomainError``, a ``ValueError``, for NaN or an argument outside ``domain``,
+    which like ``breakpoints`` is the side-1 table's times the side.
+    """
+
+    table: PiecewisePolynomial
+    side: float
+    factor: float
+
+    @property
+    def domain(self):
+        return tuple(end * self.side for end in self.table.domain)
+
+    @property
+    def breakpoints(self):
+        return self.table.breakpoints * self.side
+
+    def __call__(self, t):
+        if type(t) in (float, int):
+            t = t / self.side
+        else:
+            with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
+                t = np.asarray(t, dtype=float) / self.side
+        try:
+            return self.table(t) * self.factor
+        except DomainError:
+            raise DomainError("argument outside domain [%s, %s]" % self.domain) from None
+
+
 @dataclass(frozen=True)
 class AxisMarginal:
-    """Closed-form marginal machinery for one axis at a given side length.
-
-    Each polynomial field is the checked evaluator of its quantity: an
-    argument that is NaN, infinite or outside [0, 2a] (x) or [0, sqrt(3)a]
-    (y) raises ``DomainError``, a ``ValueError``.
-    """
+    """The marginals of one axis at one side: [0, 2a] (x) or [0, sqrt(3)a] (y)."""
 
     axis: str
     side: float
-    waypoint_pdf: PiecewisePolynomial
-    stationary_pdf: PiecewisePolynomial
-    stationary_cdf: PiecewisePolynomial
-    partial_leg: PiecewisePolynomial
+    waypoint_pdf: SideScaled
+    stationary_pdf: SideScaled
+    stationary_cdf: SideScaled
+    partial_leg: SideScaled
     expected_leg: float
 
 
-# Bounded: a caller that sweeps many side lengths must not grow memory
-# without limit, and a repeated side still finds its tables.
-@lru_cache(maxsize=128)
 def axis_marginal(axis: str, side: float) -> AxisMarginal:
-    """The marginal tables of one axis at one side.
-
-    ValueError for a side at which a coefficient of the scaled tables is not
-    a finite normal float: below about 2.5e-62 or above about 1.4e61.
-    """
+    """ValueError for a side that ``HexRegion`` refuses, or a subnormal one."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    if not (side > 0 and math.isfinite(side)):
-        raise ValueError("side must be positive and finite")
-    tab = _canonical(axis)
-    # coordinate scale from the canonical variable to the real one
-    alpha = side if axis == "x" else SQRT3 * side
-    return AxisMarginal(
-        axis=axis,
-        side=side,
-        waypoint_pdf=tab["waypoint_pdf"].scaled_argument(alpha) * (1.0 / alpha),
-        stationary_pdf=tab["pdf"].scaled_argument(alpha) * (1.0 / alpha),
-        stationary_cdf=tab["cdf"].scaled_argument(alpha),
-        partial_leg=tab["partial_leg"].scaled_argument(alpha) * alpha,
-        expected_leg=float(tab["expected_leg"]) * alpha,
-    )
+    side = float(HexRegion(side).side)
+    inverse = 1.0 / side
+    if not math.isfinite(inverse):
+        raise ValueError("side is too small: the densities overflow")
+    unit = _unit_tables(axis)
+    return AxisMarginal(axis, side, SideScaled(unit["waypoint_pdf"], side, inverse),
+                        SideScaled(unit["stationary_pdf"], side, inverse),
+                        SideScaled(unit["stationary_cdf"], side, 1.0),
+                        SideScaled(unit["partial_leg"], side, side), unit["expected_leg"] * side)
 
 
 # The benchmark's point-queries workload calls these four by name; they go

@@ -12,14 +12,14 @@ index counts the interior breakpoints at or below it, one comparison per
 breakpoint, and Horner runs on the gathered columns of the coefficient
 table.  Both run Horner in ``polyval``'s order (acc = acc * t + c_k, from
 the top power), so every value equals ``npoly.polyval`` on its own piece
-bit for bit, whichever way it was computed.
+bit for bit, whichever way it was computed.  No table is rescaled: the
+marginals read their side-1 tables at t / side (``marginals.SideScaled``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from sys import float_info
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -37,7 +37,7 @@ class PiecewisePolynomial:
     ``coeffs[i]`` holds ascending-power coefficients of the i-th piece.
     """
 
-    __slots__ = ("breakpoints", "_table", "_sizes", "_lo", "_hi", "_tol", "_inner", "_pieces")
+    __slots__ = ("breakpoints", "_table", "_lo", "_hi", "_tol", "_inner", "_pieces")
 
     def __init__(self, breakpoints, coeffs):
         bp = np.asarray(breakpoints, dtype=float)
@@ -52,40 +52,17 @@ class PiecewisePolynomial:
         table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
         for i, c in enumerate(coeffs):
             table[:c.size, i] = c
-        self._finish(bp, table, [c.size for c in coeffs])
-
-    def _finish(self, bp, table, sizes):
-        """Set every field from checked breakpoints, a padded table and the piece sizes."""
-        self.breakpoints, self._table, self._sizes = bp, table, sizes
+        self.breakpoints, self._table = bp, table
         self._lo, self._hi = float(bp[0]), float(bp[-1])
         self._tol = 1e-9 * max(abs(self._lo), abs(self._hi), 1.0)
         # a single piece gets one breakpoint that no finite t reaches
         self._inner = bp[1:-1].tolist() or [math.inf]
         # each piece's own coefficients as Python floats, top power first
-        self._pieces = [col[n - 1::-1] for col, n in zip(table.T.tolist(), sizes)]
-        return self
-
-    def _derived(self, bp, factor) -> "PiecewisePolynomial":
-        """The polynomial on ``bp`` whose table is this one's times ``factor``, entry by entry.
-
-        The breakpoints and the table's shape were checked when this one was
-        built.  A zero entry stays exactly zero; a nonzero one whose product is
-        not a finite normal float raises ``ValueError``.
-        """
-        nonzero = self._table != 0
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            table = self._table * factor
-        size = np.abs(table[nonzero])
-        # NaN fails both comparisons
-        if not (size.min(initial=math.inf) >= float_info.min
-                and size.max(initial=0.0) <= float_info.max):
-            raise ValueError("the coefficients leave the float range at this scale")
-        table[~nonzero] = 0.0
-        return object.__new__(PiecewisePolynomial)._finish(bp, table, self._sizes)
+        self._pieces = [col[c.size - 1::-1] for col, c in zip(table.T.tolist(), coeffs)]
 
     @property
     def coeffs(self) -> list:
-        return [self._table[:n, i].copy() for i, n in enumerate(self._sizes)]
+        return [np.array(piece[::-1]) for piece in self._pieces]
 
     @property
     def domain(self):
@@ -135,19 +112,3 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(
             self.breakpoints, [npoly.polyder(c) for c in self.coeffs]
         )
-
-    def scaled_argument(self, alpha: float) -> "PiecewisePolynomial":
-        """Return q with q(t) = self(t / alpha), for alpha > 0.
-
-        ValueError if a nonzero coefficient of q leaves the normal float range.
-        """
-        if alpha <= 0:
-            raise ValueError("scale factor must be positive")
-        with np.errstate(over="ignore"):
-            factor = alpha ** -np.arange(self._table.shape[0])
-        return self._derived(self.breakpoints * alpha, factor[:, None])
-
-    def __mul__(self, scalar):
-        return self._derived(self.breakpoints, float(scalar))
-
-    __rmul__ = __mul__

@@ -10,11 +10,30 @@ hexagon ∩ disk, in x and y rather than the library's angle variable.
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 SQRT3 = math.sqrt(3.0)
+
+
+def run_fresh(code, timeout=10):
+    """Run ``code`` in a fresh interpreter that imports this rwphex; return its output.
+
+    No call made earlier in the test run can then answer for one in ``code``.
+    """
+    import rwphex
+
+    src = os.path.dirname(os.path.dirname(rwphex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +230,10 @@ def quad_product_mass(ref=None, d=None):
     """
     from scipy.integrate import quad
 
-    import rwphex as rp
+    from rwphex.marginals import _unit_tables
 
-    f_x = _pointwise(rp.axis_marginal("x", 1.0).stationary_pdf)
-    f_y = _pointwise(rp.axis_marginal("y", 1.0).stationary_pdf)
+    f_x = _pointwise(_unit_tables("x")["stationary_pdf"])
+    f_y = _pointwise(_unit_tables("y")["stationary_pdf"])
     tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
 
     def inner(x):

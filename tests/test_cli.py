@@ -38,10 +38,21 @@ class TestMarginalsCommand:
         assert data[-1, 2] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis,side", [("x", "1e300"), ("y", "1e-300")])
-    def test_side_beyond_table_range_is_usage_error(self, tmp_path, axis, side):
-        # the scaled coefficients leave the float range; no table is written
+    def test_side_far_from_one_answers(self, tmp_path, axis, side):
+        # each table is read at coord / side, so the cell's midpoint has CDF 0.5
         out = tmp_path / "m.csv"
         assert main(["marginals", "--axis", axis, "--side", side, "--grid-n", "5",
+                     "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        assert np.all(np.isfinite(data))
+        assert data[2, 2] == pytest.approx(0.5, abs=1e-15)
+        assert data[-1, 2] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["1e-310", "1e308"])
+    def test_subnormal_or_overflowing_side_is_usage_error(self, tmp_path, side):
+        # 1 / side overflows at a subnormal side, and 3 * side at 1e308
+        out = tmp_path / "m.csv"
+        assert main(["marginals", "--axis", "x", "--side", side, "--grid-n", "5",
                      "--out", str(out)]) == 2
         assert not out.exists()
 

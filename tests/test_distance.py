@@ -1,7 +1,5 @@
+import hashlib
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -11,9 +9,10 @@ import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex import distance
 from rwphex.distance import _BLOCK, _disk_mass, _hexagon_mass
+from rwphex.marginals import _unit_tables
 from rwphex.piecewise import PiecewisePolynomial
 
-from conftest import mc_distance_cdf, quad_distance_cdf
+from conftest import mc_distance_cdf, quad_distance_cdf, run_fresh
 
 CENTER = RefNode(Point2(1.0, SQRT3 / 2))
 ORIGIN = RefNode(Point2(0.0, 0.0))
@@ -33,13 +32,7 @@ def run_bounded(statement, timeout=10):
             "nan, inf = math.nan, math.inf\n"
             f"try:\n    print(repr({statement}))\n"
             "except ValueError:\n    print('ValueError')\n")
-    src = os.path.dirname(os.path.dirname(rp.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=timeout)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    return run_fresh(code, timeout)
 
 
 class TestProductMass:
@@ -165,8 +158,7 @@ class TestDistanceCdfCurve:
         _hexagon_mass()  # cached, so the query below adds no call for it
         monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
         rp.distance_cdf(CENTER, 1.0, 0.5)
-        assert calls == [rp.axis_marginal("y", 1.0).stationary_cdf,
-                         rp.axis_marginal("x", 1.0).stationary_pdf]
+        assert calls == [_unit_tables("y")["stationary_cdf"], _unit_tables("x")["stationary_pdf"]]
 
     def test_just_above_exterior_dmin(self):
         d_min, _ = HexRegion(1.0).distance_extremes(FAR)
@@ -197,6 +189,21 @@ class TestRuleConvergence:
             _hexagon_mass.cache_clear()
         for b, f in zip(base, fine):
             assert np.max(np.abs(f - b)) <= 1e-13
+
+
+def test_headline_curves_are_pinned():
+    # SHA-256 of the four paper-node curves at side 1 (grid and values) and of
+    # scalar queries at every tenth grid point, scaled to sides 2.5 and 777
+    h = hashlib.sha256()
+    for ref in PAPER_NODES.values():
+        curve = rp.distance_cdf_curve(ref, 1.0, 200)
+        h.update(curve.d_values.tobytes())
+        h.update(curve.cdf_values.tobytes())
+        for side in (2.5, 777.0):
+            scaled = RefNode(Point2(ref.pos.x * side, ref.pos.y * side))
+            values = [rp.distance_cdf(scaled, side, d * side) for d in curve.d_values[::10]]
+            h.update(np.array(values).tobytes())
+    assert h.hexdigest() == "e871b6325957987c3feaa384b32fc1fef02f4549da118d623a68827bfee399ca"
 
 
 class TestQuadOracle:

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rwphex as rp
-from rwphex.marginals import _canonical, _leg_below
+from rwphex.marginals import _canonical, _leg_below, _unit_tables
 from rwphex.piecewise import DomainError
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
     expected_leg_oracle,
     leg_below_oracle,
     pdf_mass,
+    run_fresh,
     waypoint_x,
     waypoint_y,
 )
@@ -84,6 +86,27 @@ class TestExpectedLeg:
     def test_non_finite_side(self, axis, side):
         with pytest.raises(ValueError, match="side"):
             rp.axis_marginal(axis, side)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_subnormal_side(self, axis):
+        # 1 / side, and so every density, overflows
+        with pytest.raises(ValueError, match="side"):
+            rp.axis_marginal(axis, 1e-310)
+
+    def test_int_side_equals_float_side(self):
+        code = textwrap.dedent("""
+            import numpy as np, rwphex as rp
+            def values(side):
+                out = []
+                for axis in ("x", "y"):
+                    m = rp.axis_marginal(axis, side)
+                    for f in (m.waypoint_pdf, m.stationary_pdf, m.stationary_cdf, m.partial_leg):
+                        out += [f(np.linspace(*f.domain, 9)).tobytes(), f(1), f.domain]
+                    out.append(m.expected_leg)
+                return out + [rp.stationary_cdf_x(1, side), rp.stationary_pdf_y(1, side)]
+            print(values(2) == values(2.0))
+        """)
+        assert run_fresh(code, timeout=30) == "True"
 
 
 class TestPartialLeg:
@@ -155,15 +178,21 @@ class TestStationaryCdf:
                 )
 
     @pytest.mark.parametrize("axis,side", [("x", 1e300), ("y", 1e-300), ("x", 1e65), ("y", 1e65)])
-    def test_side_beyond_table_range_is_refused(self, axis, side):
-        # alpha ** -k overflows or underflows there, and the tables gave
-        # CDF values down to -28.7 (x at 1e300), NaN (y at 1e-300) and 0.1845
-        # at the y midpoint at 1e65
-        with pytest.raises(ValueError, match="float range"):
-            rp.axis_marginal(axis, side)
+    def test_side_beyond_former_table_range_answers(self, axis, side):
+        # sides at which coefficient tables rescaled to the side would leave
+        # the float range
         hi = 2.0 if axis == "x" else SQRT3
-        with pytest.raises(ValueError, match="float range"):
-            getattr(rp, f"stationary_cdf_{axis}")(0.5 * hi * side, side)
+        m = rp.axis_marginal(axis, side)
+        assert m.stationary_cdf.domain == (0.0, hi * side)
+        assert getattr(rp, f"stationary_cdf_{axis}")(0.5 * hi * side, side) == pytest.approx(
+            0.5, abs=1e-15)
+        # within the side-1 tables' rounding, as in test_marginals_at_any_side
+        unit = rp.axis_marginal(axis, 1.0)
+        for frac in (0.1, 0.3, 0.9):
+            assert m.stationary_cdf(frac * hi * side) == pytest.approx(
+                unit.stationary_cdf(frac * hi), abs=5e-14)
+            assert m.stationary_pdf(frac * hi * side) * side == pytest.approx(
+                unit.stationary_pdf(frac * hi), abs=5e-14)
 
     @pytest.mark.parametrize("side", [1e-61, 1e60])
     def test_midpoint_at_ends_of_table_range(self, side):
@@ -233,3 +262,14 @@ class TestExactTables:
                 h.update(table.breakpoints.tobytes())
                 h.update(table._table.tobytes())
         assert h.hexdigest() == "38453e3e4a0c54d81f2f4e8fcf18842c27d659b0706bc0d7a59e566dd5c7baf4"
+
+    def test_side_one_tables_are_pinned(self):
+        # SHA-256 of the side-1 tables in cell coordinates that every side
+        # reads, so any change to a coefficient's last bit shows up here
+        h = hashlib.sha256()
+        for axis in ("x", "y"):
+            for name in ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg"):
+                table = _unit_tables(axis)[name]
+                h.update(table.breakpoints.tobytes())
+                h.update(table._table.tobytes())
+        assert h.hexdigest() == "bf25e855dc13af031e44cc76f9fef9afac96e6b3f0d23328cd255a089377c4b4"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from rwphex.hexgeom import SQRT3
-from rwphex.marginals import _canonical, axis_marginal
+from rwphex.marginals import _unit_tables, axis_marginal
 from rwphex.piecewise import DomainError, PiecewisePolynomial
 
 
@@ -44,17 +43,6 @@ def test_derivative(ramp):
     assert d(2.0) == 0.0
 
 
-def test_scaled_argument(ramp):
-    q = ramp.scaled_argument(2.0)
-    assert q.domain == (0.0, 6.0)
-    for t in (0.3, 1.7, 5.2):
-        assert q(t) == pytest.approx(ramp(t / 2.0), rel=1e-14)
-
-
-def test_scalar_multiplication(ramp):
-    assert (3.0 * ramp)(0.5) == 3.0
-
-
 def test_validation():
     with pytest.raises(ValueError):
         PiecewisePolynomial([0.0, 0.0, 1.0], [[1.0], [1.0]])
@@ -74,49 +62,19 @@ def per_piece_polyval(pp, t):
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("side", [0.37, 1.0, 2.5, 1000.0])
 def test_marginal_tables_match_polyval_bytes(axis, side):
+    # each field is its side-1 table, equal to polyval on its own piece bit for
+    # bit, read at t / side and times the field's factor
     m = axis_marginal(axis, side)
     rng = np.random.default_rng(8)
-    for pp in (m.waypoint_pdf, m.stationary_pdf, m.stationary_cdf, m.partial_leg):
-        lo, hi = pp.domain
+    for name in ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg"):
+        field, table = getattr(m, name), _unit_tables(axis)[name]
+        lo, hi = field.domain
         # breakpoints (the domain ends among them), their neighbours, and the interior
-        t = np.concatenate((pp.breakpoints, np.nextafter(pp.breakpoints[1:], -np.inf),
-                            np.nextafter(pp.breakpoints[:-1], np.inf), rng.uniform(lo, hi, 500)))
-        assert pp(t).tobytes() == per_piece_polyval(pp, t).tobytes()
-        for v in t[:12]:
-            assert np.float64(pp(float(v))).tobytes() == per_piece_polyval(pp, np.array([v])).tobytes()
-
-
-@pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("side", [0.37, 2.5, 1000.0])
-def test_derived_tables_match_per_piece_formula(axis, side):
-    # each piece scaled on its own, c * alpha ** -k and then the field's factor
-    alpha = side if axis == "x" else SQRT3 * side
-    m = axis_marginal(axis, side)
-    tab = _canonical(axis)
-    for field, name, factor in (("waypoint_pdf", "waypoint_pdf", 1.0 / alpha),
-                                ("stationary_pdf", "pdf", 1.0 / alpha),
-                                ("stationary_cdf", "cdf", None),
-                                ("partial_leg", "partial_leg", alpha)):
-        pp = getattr(m, field)
-        for got, c in zip(pp.coeffs, tab[name].coeffs, strict=True):
-            want = c * alpha ** -np.arange(c.size)
-            if factor is not None:
-                want = want * factor
-            assert got.tobytes() == want.tobytes()
-        sizes = [c.size for c in pp.coeffs]
-        padded = np.arange(pp._table.shape[0])[:, None] >= np.array(sizes)
-        assert pp._table[padded].tobytes() == np.zeros(padded.sum()).tobytes()
-
-
-def test_derived_table_out_of_float_range():
-    with pytest.raises(ValueError, match="float range"):
-        PiecewisePolynomial([0.0, 1.0], [[1.0, 1.0, 1.0]]).scaled_argument(1e-160)
-    with pytest.raises(ValueError, match="float range"):
-        PiecewisePolynomial([0.0, 1.0], [[1.0, 1.0]]) * 1e-310  # subnormal
-    # a zero coefficient or padded entry stays +0.0, even where its factor
-    # overflows or is negative
-    q = PiecewisePolynomial([0.0, 1.0], [[1.0, 0.0, 0.0]]).scaled_argument(1e-200)
-    assert q._table.tobytes() == np.array([[1.0], [0.0], [0.0]]).tobytes()
-    assert q(0.5e-200) == 1.0
-    r = PiecewisePolynomial([0.0, 1.0, 2.0], [[1.0, 2.0], [3.0]]) * -2.0
-    assert r._table.tobytes() == np.array([[-2.0, -6.0], [-4.0, 0.0]]).tobytes()
+        t = np.concatenate((field.breakpoints, np.nextafter(field.breakpoints[1:], -np.inf),
+                            np.nextafter(field.breakpoints[:-1], np.inf), rng.uniform(lo, hi, 500)))
+        u = np.clip(t / side, *table.domain)
+        want = per_piece_polyval(table, u)
+        assert table(u).tobytes() == want.tobytes()
+        assert field(t).tobytes() == (want * field.factor).tobytes()
+        for v, w in zip(t[:12], want[:12]):
+            assert np.float64(field(float(v))).tobytes() == (w * field.factor).tobytes()

@@ -5,7 +5,7 @@ Analytic per-axis marginals and the distance CDF live alongside a seeded
 RWP simulator so each side can validate the other.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from types import ModuleType as _ModuleType
 

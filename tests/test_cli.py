@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rwphex
-from rwphex import __version__
+from rwphex import __version__, sim
 from rwphex.cli import _write_csv, main
 
 SQRT3 = math.sqrt(3.0)
@@ -252,6 +252,14 @@ class TestBaselineCommand:
         out = tmp_path / "base.csv"
         rc = main(["baseline", "--side", "5e307", "--ref-x=-1e308", "--ref-y", "0",
                    "--n", "100", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_sample_count_over_limit_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 1000)
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "--ref-x", "0", "--ref-y", "0", "--n", "1001",
+                   "--seed", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
 

@@ -297,6 +297,50 @@ class TestDistancesTo:
             assert np.isfinite(rp.distances_to(trace, RefNode(Point2(0.0, 0.0)))).all()
 
 
+SIDES = [1e-300, 1.0, 2.5, 1e150, 5e307]
+# at side 1; d_max from the exterior node is 3.0 sides, still finite at side 5e307
+NODES = {"inside": (1.0, SQRT3 / 2), "vertex": (2.0, SQRT3 / 2), "exterior": (2.5, -0.5)}
+
+
+def assert_near_hypot(d, points, ref, d_max):
+    """Within 1 ulp of np.hypot, or 1e-160 * d_max where the scaled squares underflow."""
+    h = np.hypot(points[:, 0] - ref.pos[0], points[:, 1] - ref.pos[1])
+    assert np.all(np.abs(d - h) <= np.maximum(np.spacing(h), 1e-160 * d_max))
+
+
+class TestScaledDistances:
+    @pytest.mark.parametrize("node", sorted(NODES))
+    @pytest.mark.parametrize("side", SIDES)
+    def test_within_one_ulp_of_hypot(self, side, node):
+        region = HexRegion(side)
+        ref = RefNode(Point2(NODES[node][0] * side, NODES[node][1] * side))
+        _, d_max = region.distance_extremes(ref)
+        config = rp.SimConfig(side=side, v_min=0.01 * side, v_max=0.05 * side,
+                              duration=3000.0, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = rp.simulate(config)
+            assert_near_hypot(rp.distances_to(trace, ref), trace.positions, ref, d_max)
+            points = region.sample_uniform_batch(3000, np.random.default_rng(5))
+            d = rp.uniform_node_distances(region, ref, 3000, np.random.default_rng(5))
+            assert_near_hypot(d, points, ref, d_max)
+
+    def test_block_size_does_not_change_bytes(self, monkeypatch):
+        trace = rp.simulate(paper_config(duration=100.0))
+        ref = RefNode(Point2(0.5, 0.0))
+
+        def run():
+            d = rp.distances_to(trace, ref)
+            u = rp.uniform_node_distances(HexRegion(1.0), ref, 101,
+                                          np.random.default_rng(1))
+            ks = rp.ks_statistic(rp.ecdf(d), lambda t: np.clip(t, 0.0, 1.0))
+            return d.tobytes(), u.tobytes(), ks
+
+        expected = run()
+        monkeypatch.setattr(sim, "SAMPLE_BLOCK", 7)
+        assert run() == expected
+
+
 class TestEmpiricalCdf:
     def test_strict_less_convention(self):
         emp = rp.ecdf([1.0, 2.0, 3.0])
@@ -364,6 +408,17 @@ class TestUniformNodeDistances:
             rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(0, 0)), 0,
                                       np.random.default_rng(0))
 
+    def test_sample_count_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 1000)
+        region, ref = HexRegion(1.0), RefNode(Point2(0.0, 0.0))
+        assert len(rp.uniform_node_distances(region, ref, 1000,
+                                             np.random.default_rng(0))) == 1000
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at most"):
+            rp.uniform_node_distances(region, ref, 1001, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("xy", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_reference_rejected(self, xy):
         with pytest.raises(ValueError, match="finite"):
@@ -423,8 +478,10 @@ class TestKsSignedPass:
         "constant": lambda t: 0.3,
     }
 
+    B = sim.SAMPLE_BLOCK
+
     @pytest.mark.parametrize("name", sorted(MODELS))
-    @pytest.mark.parametrize("n", [1, 7, 100003])
+    @pytest.mark.parametrize("n", [1, 7, B - 1, B, B + 1, 3 * B + 5, 100003])
     def test_matches_two_abs_formula(self, name, n):
         samples = np.random.default_rng(n).uniform(0.0, 1.0, n)
         emp, model = rp.ecdf(samples), self.MODELS[name]
@@ -440,6 +497,17 @@ class TestKsSignedPass:
             return m
 
         with pytest.raises(ValueError, match="finite"):
+            rp.ks_statistic(emp, model)
+
+    @pytest.mark.parametrize("model", [
+        lambda t: t[:, None],  # broadcast to n x n, it gave 13/14 for 1/14
+        lambda t: np.append(t, 1.0),
+        lambda t: np.concatenate((t, t)),
+    ], ids=["(n, 1)", "(n + 1,)", "(2n,)"])
+    def test_model_output_shape_rejected(self, model):
+        emp = rp.ecdf((np.arange(7) + 0.5) / 7)
+        assert rp.ks_statistic(emp, lambda t: t) == pytest.approx(1 / 14)
+        with pytest.raises(ValueError, match="shape"):
             rp.ks_statistic(emp, model)
 
 

@@ -32,8 +32,8 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _unit_extremes
-from .marginals import _unit_tables
+from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _unit_extremes
+from .marginals import _U_BREAKS, _X_BREAKS, _unit_tables
 
 __all__ = [
     "CdfCurve",
@@ -53,8 +53,8 @@ _EDGE_X0 = np.tile(_VERTS[:, 0], 2)
 _EDGE_DX = np.tile(_EDGES[:, 0], 2)
 # cell ends and x-marginal breakpoints; lines where the y-marginal or the
 # slice bounds change piece
-_X_BREAKS = np.array([0.0, 0.5, 1.5, 2.0])
-_Y_LINES = np.array([0.0, SQRT3 / 2, SQRT3])
+_X_LINES = np.array(_X_BREAKS, dtype=float)
+_Y_LINES = np.array(_U_BREAKS, dtype=float) * SQRT3
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _hexagon_mass() -> float:
     On each of the three x-panels the integrand is a polynomial of degree 9,
     which the rule integrates exactly.
     """
-    x, w = _rule(_X_BREAKS[:-1], _X_BREAKS[1:])
+    x, w = _rule(_X_LINES[:-1], _X_LINES[1:])
     return float(w.ravel() @ _slice_mass(x.ravel(), -np.inf, np.inf))
 
 
@@ -111,7 +111,7 @@ def _disk_mass(x1: float, y1: float, d):
     # A cut is NaN where its crossing does not exist; overflow at extreme
     # scales also ends in NaN or a cut outside [t_lo, t_hi].
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = np.arcsin(_clip((_X_BREAKS - x1) / d, -1.0, 1.0))
+        xs = np.arcsin(_clip((_X_LINES - x1) / d, -1.0, 1.0))
         # the circle meets the line y = y_c where cos(theta) = |y_c - y1| / d
         ys = np.arccos(np.abs(_Y_LINES - y1) / d)
         # and edge P + t V where |P - ref + t V| = d with 0 <= t <= 1
@@ -162,8 +162,7 @@ def distance_cdf(ref: RefNode, a: float, d: float) -> float:
 
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+    n_points = _count(n_points, "n_points", 2)
     (x1, y1), d_min, d_max = _unit_extremes(ref, a)
     if not math.isfinite(a * d_max):
         raise ValueError("the largest distance overflows at this side")

@@ -12,6 +12,7 @@ that a node is within reach of the cell starts from ``_unit_extremes``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,17 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 
 __all__ = ["Point2", "RefNode", "HexRegion", "SQRT3"]
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)  # refuses floats, NaN among them
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 class Point2(NamedTuple):
@@ -96,9 +108,8 @@ class HexRegion:
 
     def sample_uniform_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, 2) array of uniform points; acceptance rate is 3/4."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        chunks = []
+        n = _count(n, "n", 0)
+        chunks = [np.empty((0, 2))]
         got = 0
         while got < n:
             m = max(64, int(1.4 * (n - got)))

@@ -14,7 +14,9 @@ formulas.  Weighting a leg by its projected, not its 2-D, length is the
 paper's model; the node's exact per-axis law differs from it (README).
 
 The y-axis is derived in u = y / sqrt(3), where its waypoint density has
-rational coefficients, then mapped once to cell coordinates.  At side a,
+rational coefficients.  ``_unit_tables`` builds every side-1 table in one
+step: it rounds each exact coefficient to a float once, takes the PDF as
+the derivative of the rounded CDF, and maps u to cell coordinates.  At side a,
 read from one side-1 table each, the CDF is F_1(t / a), each density
 f_1(t / a) / a and the partial leg a L_1(t / a): a subnormal a overflows.
 """
@@ -71,37 +73,27 @@ def _leg_below(breaks, pieces):
 
 
 @lru_cache(maxsize=None)
-def _canonical(axis: str):
-    """Unit-side tables: waypoint pdf, partial-leg, cdf, pdf, E(L)."""
-    breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
-    expected, branches = _leg_below(breaks, pieces)
-    cdf = PiecewisePolynomial(breaks, [b / expected for b in branches])
-    return {
-        "expected_leg": expected,
-        "partial_leg": PiecewisePolynomial(breaks, branches),
-        "cdf": cdf,
-        "pdf": cdf.derivative(),
-        "waypoint_pdf": PiecewisePolynomial(breaks, pieces),
-    }
-
-
-@lru_cache(maxsize=None)
 def _unit_tables(axis: str) -> dict:
-    """Side-1 tables in cell coordinates, keyed by ``AxisMarginal`` field, and E(L)."""
-    tab = _canonical(axis)
-    alpha = 1.0 if axis == "x" else SQRT3  # cell coordinate per canonical unit
+    """Side-1 tables in cell coordinates, keyed by ``AxisMarginal`` field, and E(L).
 
-    def cell(name, factor):
-        coeffs = tab[name].coeffs
+    On the y-axis, y = sqrt(3) u scales each rounded coefficient c_k by
+    sqrt(3)**-k, then a density by 1/sqrt(3) and the partial leg by sqrt(3).
+    """
+    breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
+    alpha = 1.0 if axis == "x" else SQRT3  # cell coordinate per unit of u
+    expected, branches = _leg_below(breaks, pieces)
+    cdf = [np.array(b / expected, dtype=float) for b in branches]
+    bp = np.array(breaks, dtype=float) * alpha
+
+    def cell(coeffs, factor):
         scale = alpha ** -np.arange(max(c.size for c in coeffs))
-        return PiecewisePolynomial(tab[name].breakpoints * alpha,
-                                   [c * scale[:c.size] * factor for c in coeffs])
+        return PiecewisePolynomial(bp, [c * scale[:c.size] * factor for c in coeffs])
 
-    return {"waypoint_pdf": cell("waypoint_pdf", 1.0 / alpha),
-            "stationary_pdf": cell("pdf", 1.0 / alpha),
-            "stationary_cdf": cell("cdf", 1.0),
-            "partial_leg": cell("partial_leg", alpha),
-            "expected_leg": float(tab["expected_leg"]) * alpha}
+    return {"waypoint_pdf": cell([np.array(p, dtype=float) for p in pieces], 1.0 / alpha),
+            "stationary_pdf": cell([npoly.polyder(c) for c in cdf], 1.0 / alpha),
+            "stationary_cdf": cell(cdf, 1.0),
+            "partial_leg": cell([np.array(b, dtype=float) for b in branches], alpha),
+            "expected_leg": float(expected) * alpha}
 
 
 class SideScaled(NamedTuple):

@@ -12,8 +12,10 @@ index counts the interior breakpoints at or below it, one comparison per
 breakpoint, and Horner runs on the gathered columns of the coefficient
 table.  Both run Horner in ``polyval``'s order (acc = acc * t + c_k, from
 the top power), so every value equals ``npoly.polyval`` on its own piece
-bit for bit, whichever way it was computed.  No table is rescaled: the
-marginals read their side-1 tables at t / side (``marginals.SideScaled``).
+bit for bit, whichever way it was computed.  The coefficients are floats:
+``marginals._unit_tables`` rounds each exact coefficient once when it builds
+a side-1 table.  No table is rescaled: the marginals read their side-1
+tables at t / side (``marginals.SideScaled``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from bisect import bisect_right
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = ["PiecewisePolynomial", "DomainError"]
 
@@ -68,14 +69,6 @@ class PiecewisePolynomial:
     def domain(self):
         return self._lo, self._hi
 
-    def piece_index(self, t):
-        # the number of interior breakpoints at or below t, which clamps the
-        # index to the first and last piece; exact for every non-NaN t
-        idx = (t >= self._inner[0]).astype(np.intp)
-        for b in self._inner[1:]:
-            idx += t >= b
-        return idx
-
     def __call__(self, t):
         if not isinstance(t, (float, int)):
             t = np.asarray(t, dtype=float)
@@ -99,7 +92,13 @@ class PiecewisePolynomial:
             raise DomainError(f"argument outside domain [{lo}, {hi}]")
         # np.clip's order, so that a tie keeps the argument's zero sign
         t = np.minimum(hi, np.maximum(lo, t))
-        coeffs = self._table.take(self.piece_index(t), axis=1)
+        # a point's piece is the number of interior breakpoints at or below
+        # it, which clamps the index to the first and last piece; exact for
+        # every non-NaN t
+        idx = (t >= self._inner[0]).astype(np.intp)
+        for b in self._inner[1:]:
+            idx += t >= b
+        coeffs = self._table.take(idx, axis=1)
         # the top row starts Horner as 0 * t + c_top would; a copy, so that
         # the gathered columns are freed before the caller's next call
         out = coeffs[-1].copy()
@@ -107,8 +106,3 @@ class PiecewisePolynomial:
             out *= t
             out += c
         return out
-
-    def derivative(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.breakpoints, [npoly.polyder(c) for c in self.coeffs]
-        )

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hexgeom import HexRegion, RefNode
+from .hexgeom import HexRegion, RefNode, _count
 
 __all__ = [
     "SimConfig",
@@ -84,6 +84,7 @@ class SimConfig:
             raise ValueError("sample_interval must be positive")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
+        _count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,10 @@ class EmpiricalCdf:
     __slots__ = ("sorted_samples",)
 
     def __init__(self, samples):
-        arr = np.sort(np.asarray(samples, dtype=float))
+        arr = np.asarray(samples, dtype=float)
+        if arr.ndim != 1:  # np.sort would sort each row of a 2-D array
+            raise ValueError(f"samples have shape {arr.shape}; need (n,)")
+        arr = np.sort(arr)
         if arr.size == 0:
             raise ValueError("need at least one sample")
         # after the sort, NaN and infinities can only sit at the two ends
@@ -232,8 +236,7 @@ def ecdf(samples) -> EmpiricalCdf:
 def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count(n, "n", 1)
     if n > MAX_SAMPLES:
         raise ValueError(f"n must be at most {MAX_SAMPLES}")
     # refuses an unreachable node before drawing

@@ -12,7 +12,6 @@ import pytest
 
 import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
-from rwphex.marginals import _canonical
 
 from conftest import (
     X_BREAKS,

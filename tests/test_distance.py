@@ -117,6 +117,11 @@ class TestDistanceCdfCurve:
         with pytest.raises(ValueError):
             rp.distance_cdf_curve(CENTER, 1.0, 1)
 
+    @pytest.mark.parametrize("n_points", [2.5, math.nan, 200.0, "5"])
+    def test_n_points_must_be_an_integer(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            rp.distance_cdf_curve(CENTER, 1.0, n_points)
+
     def test_evaluation_order_independence(self):
         # each grid value must be independent of its neighbours
         curve = rp.distance_cdf_curve(VERTEX, 1.0, 11)

@@ -104,6 +104,18 @@ class TestSampleUniform:
         p2 = region.sample_uniform_batch(100, np.random.default_rng(9))
         assert np.array_equal(p1, p2)
 
+    def test_zero_points(self):
+        pts = HexRegion(1.0).sample_uniform_batch(0, np.random.default_rng(5))
+        assert pts.shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, 3.0, "3", -1])
+    def test_count_must_be_a_nonnegative_integer(self, n):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be"):
+            HexRegion(1.0).sample_uniform_batch(n, rng)
+        assert rng.bit_generator.state == state
+
     def test_twelve_triangle_fan_uniformity(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         n = 1_000_000

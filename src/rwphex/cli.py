@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from . import __version__
-from .hexgeom import HexRegion, Point2, RefNode
+from . import __version__, distance
+from .hexgeom import HexRegion, Point2, RefNode, _count
 from .distance import distance_cdf_curve
 from .marginals import axis_marginal
 from .sim import SimConfig, distances_to, simulate, uniform_node_distances
@@ -60,12 +60,16 @@ def _write_manifest(args, started, **extra):
         raise SystemExit(f"cannot write manifest: {exc}") from exc
 
 
+def _grid_n(args) -> int:
+    """``--grid-n``; ValueError, before any work, unless 2 <= n <= ``MAX_CURVE_POINTS``."""
+    return _count(args.grid_n, "--grid-n", 2, distance.MAX_CURVE_POINTS)
+
+
 def cmd_marginals(args) -> int:
     started = time.monotonic()
-    if args.grid_n < 2:
-        raise ValueError("--grid-n must be at least 2")
+    grid_n = _grid_n(args)
     m = axis_marginal(args.axis, args.side)
-    grid = np.linspace(*m.stationary_cdf.domain, args.grid_n)
+    grid = np.linspace(*m.stationary_cdf.domain, grid_n)
     _write_csv(args.out, ("coord", "pdf", "cdf"),
                grid, m.stationary_pdf(grid), m.stationary_cdf(grid))
     _write_manifest(args, started)
@@ -74,8 +78,9 @@ def cmd_marginals(args) -> int:
 
 def cmd_distance_cdf(args) -> int:
     started = time.monotonic()
+    grid_n = _grid_n(args)
     ref = RefNode(Point2(args.ref_x, args.ref_y))
-    curve = distance_cdf_curve(ref, args.side, args.grid_n)
+    curve = distance_cdf_curve(ref, args.side, grid_n)
     _write_csv(args.out, ("d", "cdf"), curve.d_values, curve.cdf_values)
     _write_manifest(args, started)
     return EXIT_OK

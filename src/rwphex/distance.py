@@ -22,6 +22,17 @@ d, so the block size alone bounds the working set.
 
 Every quantity is scale-invariant, so ``hexgeom._unit_extremes`` checks the
 inputs and rescales them to side 1 on entry; the internals work at side 1 only.
+
+A scalar ``distance_cdf`` is answered by the same integrand as a curve, on a
+one-element array, without ``_cdf``'s block bookkeeping: it decides
+d >= d_max (1.0) and d <= d_min (0.0) in Python floats, and its division and
+clip give the bits that ``_cdf`` gives.  Its cost is the number of numpy
+calls, not their size, so the integrand keeps that number down: the node's
+share of the cuts (its offsets from the cut lines, and each edge's b, b**2
+and |w|**2) is computed once per call in Python floats; constant operands
+are arrays of the other operand's shape or 0-d; and ``_slice_mass``, which
+clips every argument into the tables' domains, reads the tables with
+``_clamped=True``, which skips their domain check and clamp.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _unit_extremes
+from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _real, _unit_extremes
 from .marginals import _U_BREAKS, _X_BREAKS, _unit_tables
 
 __all__ = [
@@ -44,17 +55,30 @@ __all__ = [
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # d values per integrand evaluation; bounds the working set
+MAX_CURVE_POINTS = 10**6  # a curve (or CLI grid) of more points is refused
+
+# 0-d operands: numpy converts a Python float operand on every call, which
+# costs more than the arithmetic on a scalar query's few hundred points
+_ZERO, _HALF, _ONE, _THREE_HALVES, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 1.5, 2.0))
+_MINUS_ONE, _ROOT3 = np.array(-1.0), np.array(SQRT3)
 
 _VERTS = np.array(_UNIT_VERTS)
 _EDGES = np.roll(_VERTS, -1, axis=0) - _VERTS
-_EDGE_LEN2 = (_EDGES * _EDGES).sum(axis=1)
-# each edge's start and step in x, once for each of its two circle crossings
-_EDGE_X0 = np.tile(_VERTS[:, 0], 2)
-_EDGE_DX = np.tile(_EDGES[:, 0], 2)
+# each edge's squared length, then it and the edge's step in x once for each
+# of its two circle crossings, as rows: numpy takes its fast path when both
+# operands have one shape, as they do for a single d
+_EDGE_LEN2 = (_EDGES * _EDGES).sum(axis=1)[None]
+_CROSSING_LEN2 = np.tile(_EDGE_LEN2, 2)
+_CROSSING_DX = np.tile(_EDGES[:, 0], 2)[None]
 # cell ends and x-marginal breakpoints; lines where the y-marginal or the
 # slice bounds change piece
 _X_LINES = np.array(_X_BREAKS, dtype=float)
 _Y_LINES = np.array(_U_BREAKS, dtype=float) * SQRT3
+# the node's share of the cuts starts from these Python floats
+_VERT_EDGE = list(zip(_VERTS.tolist(), _EDGES.tolist()))
+_X_LINE_LIST = _X_LINES.tolist()
+_Y_LINE_LIST = _Y_LINES.tolist()
+_EDGE_X0_LIST = np.tile(_VERTS[:, 0], 2).tolist()
 
 
 @dataclass(frozen=True)
@@ -73,8 +97,8 @@ def _rule(lo, hi):
     intervals evaluated with it.
     """
     lo, hi = lo[:, None], hi[:, None]
-    half = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi) + half * _NODES, half * _WEIGHTS
+    half = _HALF * (hi - lo)
+    return _HALF * (lo + hi) + half * _NODES, half * _WEIGHTS
 
 
 def _clip(v, lo, hi):
@@ -83,14 +107,19 @@ def _clip(v, lo, hi):
 
 
 def _slice_mass(x, ylo, yhi):
-    """f_X(x) times the f_Y mass of the slice [ylo, yhi] intersected with the cell."""
-    cell_lo = SQRT3 * np.maximum(0.0, np.maximum(0.5 - x, x - 1.5))
+    """f_X(x) times the f_Y mass of the slice [ylo, yhi] intersected with the cell.
+
+    ``x`` lies in [0, 2] and the y-CDF's arguments are clipped to [0, sqrt(3)],
+    so both tables are read without their domain check.
+    """
+    cell_lo = _ROOT3 * np.maximum(_ZERO, np.maximum(_HALF - x, x - _THREE_HALVES))
     ys = np.maximum(ylo, cell_lo)
-    ye = np.minimum(yhi, SQRT3 - cell_lo)
+    ye = np.minimum(yhi, _ROOT3 - cell_lo)
     # one y-CDF call on both ends
-    F = _unit_tables("y")["stationary_cdf"](_clip(np.concatenate((ye, ys)), 0.0, SQRT3))
+    F = _unit_tables("y")["stationary_cdf"](_clip(np.concatenate((ye, ys)), _ZERO, _ROOT3),
+                                            _clamped=True)
     w = F[:len(ye)] - F[len(ye):]
-    return _unit_tables("x")["stationary_pdf"](x) * np.where(ye > ys, w, 0.0)
+    return _unit_tables("x")["stationary_pdf"](x, _clamped=True) * np.where(ye > ys, w, 0.0)
 
 
 @cache
@@ -105,21 +134,34 @@ def _hexagon_mass() -> float:
 
 
 def _disk_mass(x1: float, y1: float, d):
-    """Mass of f_X * f_Y on hexagon intersect disk(ref, d) for each d > 0."""
-    d = np.asarray(d, dtype=float)[:, None]
-    w = _VERTS - (x1, y1)
+    """Mass of f_X * f_Y on hexagon intersect disk(ref, d) for each d > 0 of a 1-D array."""
+    d = d[:, None]
+    # The node's share of the cuts, once per call in Python floats.  Each
+    # two-term sum starts at +0.0, as numpy's sum over a row does, so a zero
+    # sum has numpy's sign.
+    neg_b, b2, w2 = [], [], []
+    for (vx, vy), (ex, ey) in _VERT_EDGE:
+        wx, wy = vx - x1, vy - y1
+        b = 0.0 + ex * wx + ey * wy
+        neg_b.append(-b)
+        b2.append(b * b)
+        w2.append(0.0 + wx * wx + wy * wy)
+    node = np.array([[x - x1 for x in _X_LINE_LIST] + [abs(y - y1) for y in _Y_LINE_LIST]
+                     + neg_b + b2 + w2 + [x - x1 for x in _EDGE_X0_LIST]])
+    neg_b, b2, w2, edge_x = node[:, 7:13], node[:, 13:19], node[:, 19:25], node[:, 25:]
     # A cut is NaN where its crossing does not exist; overflow at extreme
     # scales also ends in NaN or a cut outside [t_lo, t_hi].
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = np.arcsin(_clip((_X_LINES - x1) / d, -1.0, 1.0))
-        # the circle meets the line y = y_c where cos(theta) = |y_c - y1| / d
-        ys = np.arccos(np.abs(_Y_LINES - y1) / d)
+        # the lines x = x_c, then where the circle meets y = y_c: there
+        # cos(theta) = |y_c - y1| / d
+        r = node[:, :7] / d
+        xs = np.arcsin(_clip(r[:, :4], _MINUS_ONE, _ONE))
+        ys = np.arccos(r[:, 4:])
         # and edge P + t V where |P - ref + t V| = d with 0 <= t <= 1
-        b = (_EDGES * w).sum(axis=1)
-        root = np.sqrt(b * b - _EDGE_LEN2 * ((w * w).sum(axis=1) - d * d))
-        t = np.concatenate(((-b - root) / _EDGE_LEN2, (-b + root) / _EDGE_LEN2), axis=1)
-        t[(t < 0.0) | (t > 1.0)] = np.nan
-        edge = np.arcsin((_EDGE_X0 - x1 + t * _EDGE_DX) / d)
+        root = np.sqrt(b2 - _EDGE_LEN2 * (w2 - d * d))
+        t = np.concatenate((neg_b - root, neg_b + root), axis=1) / _CROSSING_LEN2
+        t[(t < _ZERO) | (t > _ONE)] = np.nan
+        edge = np.arcsin((edge_x + t * _CROSSING_DX) / d)
     # fmax/fmin skip NaN, so an absent cut collapses onto t_lo
     t_lo, t_hi = xs[:, :1], xs[:, -1:]
     cuts = np.fmin(np.fmax(np.concatenate((xs, ys, -ys, edge), axis=1), t_lo), t_hi)
@@ -127,11 +169,12 @@ def _disk_mass(x1: float, y1: float, d):
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     # intervals of nonzero width in row order, and the row (d) of each;
     # the zero-width ones would only add exact zeros
-    row, col = np.nonzero(hi > lo)
-    theta, weight = _rule(lo[row, col], hi[row, col])
+    wide = hi > lo
+    theta, weight = _rule(lo[wide], hi[wide])
+    row = np.nonzero(wide)[0]
     dr = d[row]
     c = dr * np.cos(theta)
-    x = _clip(x1 + dr * np.sin(theta), 0.0, 2.0)
+    x = _clip(x1 + dr * np.sin(theta), _ZERO, _TWO)
     per_interval = (weight * c * _slice_mass(x, y1 - c, y1 + c)).sum(axis=-1)
     return np.bincount(row, weights=per_interval, minlength=len(d))
 
@@ -154,15 +197,23 @@ def product_mass_hexagon(ref: RefNode, a: float) -> float:
 
 def distance_cdf(ref: RefNode, a: float, d: float) -> float:
     """P(distance to ref < d) for the stationary mobile node."""
-    (x1, y1), d_min, d_max = _unit_extremes(ref, a)
-    if not (d >= 0 and math.isfinite(d)):
+    if not 0 <= _real(d, "d") < math.inf:
         raise ValueError("d must be nonnegative and finite")
-    return float(_cdf(x1, y1, np.array([d / a], dtype=float), d_min, d_max)[0])
+    (x1, y1), d_min, d_max = _unit_extremes(ref, a)
+    d = float(d / a)
+    if d >= d_max:
+        return 1.0
+    if d <= d_min:
+        return 0.0
+    value = float(_disk_mass(x1, y1, np.array([d]))[0]) / _hexagon_mass()
+    # _clip's result: a tie keeps the value, so a -0.0 stays -0.0
+    value = 0.0 if value < 0.0 else value
+    return 1.0 if value > 1.0 else value
 
 
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
-    n_points = _count(n_points, "n_points", 2)
+    n_points = _count(n_points, "n_points", 2, MAX_CURVE_POINTS)
     (x1, y1), d_min, d_max = _unit_extremes(ref, a)
     if not math.isfinite(a * d_max):
         raise ValueError("the largest distance overflows at this side")

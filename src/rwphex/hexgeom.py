@@ -23,15 +23,29 @@ SQRT3 = math.sqrt(3.0)
 __all__ = ["Point2", "RefNode", "HexRegion", "SQRT3"]
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int; ValueError unless it is an integer of at least ``least``."""
+def _count(value, name: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int; ValueError unless it is an integer in [least, most]."""
     try:
         value = operator.index(value)  # refuses floats, NaN among them
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; ValueError for text, which ``float`` would parse, or a non-number."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be a number, not text")
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite") from None
 
 
 class Point2(NamedTuple):
@@ -132,6 +146,8 @@ class HexRegion:
 
 _UNIT = HexRegion(1.0)
 _UNIT_VERTS = _UNIT.vertices()
+# each edge of the unit cell as (ax, ay, bx, by)
+_UNIT_EDGES = [a + b for a, b in zip(_UNIT_VERTS, _UNIT_VERTS[1:] + _UNIT_VERTS[:1])]
 
 
 def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
@@ -142,15 +158,10 @@ def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("side must be positive and finite")
     px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)
-    verts = _UNIT_VERTS
-    d_max = max(math.hypot(px - v.x, py - v.y) for v in verts)
+    d_max = max([math.hypot(px - vx, py - vy) for vx, vy in _UNIT_VERTS])
     if not math.isfinite(d_max):
         raise ValueError("reference node is too far from a cell of this side")
-    if _UNIT.contains(p):
+    if _UNIT.contains_mask(px, py):
         return p, 0.0, d_max
-    d_min = min(
-        _segment_distance(px, py, verts[i].x, verts[i].y,
-                          verts[(i + 1) % 6].x, verts[(i + 1) % 6].y)
-        for i in range(6)
-    )
+    d_min = min([_segment_distance(px, py, *edge) for edge in _UNIT_EDGES])
     return p, d_min, d_max

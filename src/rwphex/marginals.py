@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .hexgeom import SQRT3, HexRegion
-from .piecewise import DomainError, PiecewisePolynomial
+from .piecewise import DomainError, PiecewisePolynomial, _float_array
 
 __all__ = [
     "AxisMarginal",
@@ -100,7 +100,8 @@ class SideScaled(NamedTuple):
     """The checked evaluator ``factor * table(t / side)`` of one quantity at one side.
 
     ``DomainError``, a ``ValueError``, for NaN or an argument outside ``domain``,
-    which like ``breakpoints`` is the side-1 table's times the side.
+    which like ``breakpoints`` is the side-1 table's times the side, and
+    ``ValueError`` for text.
     """
 
     table: PiecewisePolynomial
@@ -120,7 +121,7 @@ class SideScaled(NamedTuple):
             t = t / self.side
         else:
             with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
-                t = np.asarray(t, dtype=float) / self.side
+                t = _float_array(t) / self.side
         try:
             return self.table(t) * self.factor
         except DomainError:

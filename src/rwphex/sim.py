@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hexgeom import HexRegion, RefNode, _count
+from .hexgeom import HexRegion, RefNode, _count, _real
 
 __all__ = [
     "SimConfig",
@@ -74,7 +74,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("side", "v_min", "v_max", "duration", "sample_interval"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_real(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite")
         if not self.side > 0:
             raise ValueError("side must be positive")

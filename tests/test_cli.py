@@ -60,6 +60,18 @@ class TestMarginalsCommand:
         out = tmp_path / "bad.csv"
         assert main(["marginals", "--axis", "x", "--grid-n", "1", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("command", [["marginals", "--axis", "x"],
+                                         ["distance-cdf", "--ref-x", "0", "--ref-y", "0"]])
+    def test_grid_n_over_limit_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # the cap is read at call time, so a small one stands in for 10**6
+        monkeypatch.setattr(rwphex.distance, "MAX_CURVE_POINTS", 9)
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        assert main(command + ["--grid-n", "9", "--out", str(ok)]) == 0
+        assert main(command + ["--grid-n", "10", "--out", str(bad)]) == 2
+        assert "--grid-n must be at most 9" in capsys.readouterr().err
+        assert ok.exists() and not bad.exists()
+        assert not Path(str(bad) + ".manifest").exists()
+
     def test_unwritable_path(self):
         assert main(["marginals", "--axis", "x", "--grid-n", "3",
                      "--out", "/nonexistent-dir/x.csv"]) == 2

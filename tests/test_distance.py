@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rwphex as rp
-from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
+from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode, _unit_extremes
 from rwphex import distance
 from rwphex.distance import _BLOCK, _disk_mass, _hexagon_mass
 from rwphex.marginals import _unit_tables
@@ -62,6 +62,11 @@ class TestDistanceCdf:
             _, d_max = HexRegion(1.0).distance_extremes(ref)
             assert rp.distance_cdf(ref, 1.0, d_max * 1.001) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("d", ["0.5", b"0.5", np.str_("0.5"), None, 0.5j, 10**400])
+    def test_non_number_distance_rejected(self, d):
+        with pytest.raises(ValueError, match="d must be"):
+            rp.distance_cdf(CENTER, 1.0, d)
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             rp.distance_cdf(CENTER, 1.0, -0.1)
@@ -95,6 +100,41 @@ class TestDistanceCdf:
         assert on_edge == pytest.approx(just_out, abs=1e-5)
 
 
+def _scalar_test_nodes():
+    """The paper nodes and seeded nodes inside, within 1e-13 of an edge, and outside."""
+    rng = np.random.default_rng(1701)
+    region = HexRegion(1.0)
+    nodes = list(PAPER_NODES.values())
+    nodes += [RefNode(Point2(*p)) for p in region.sample_uniform_batch(4, rng)]
+    verts = region.vertices()
+    for i in rng.integers(0, 6, 6):
+        a, b = verts[i], verts[(i + 1) % 6]
+        s, off = rng.uniform(0, 1), rng.uniform(-1e-13, 1e-13)
+        # the edge's outward normal is (dy, -dx) for counterclockwise vertices
+        nodes.append(RefNode(Point2(a.x + s * (b.x - a.x) + off * (b.y - a.y),
+                                    a.y + s * (b.y - a.y) - off * (b.x - a.x))))
+    outside = rng.uniform(-3.0, 5.0, (40, 2))
+    keep = ~region.contains_mask(outside[:, 0], outside[:, 1])
+    nodes += [RefNode(Point2(*p)) for p in outside[keep][:4]]
+    return nodes
+
+
+class TestScalarMatchesCurve:
+    @pytest.mark.parametrize("ref", _scalar_test_nodes(), ids=lambda r: f"{r.pos.x:.6g},{r.pos.y:.6g}")
+    def test_bit_identical(self, ref):
+        # a scalar query skips the block bookkeeping but keeps every value's bits
+        curve = rp.distance_cdf_curve(ref, 1.0, 29)
+        got = [rp.distance_cdf(ref, 1.0, float(d)) for d in curve.d_values]
+        assert np.array(got).tobytes() == curve.cdf_values.tobytes()
+        d_min, d_max = HexRegion(1.0).distance_extremes(ref)
+        ends = [d_min, np.nextafter(d_min, np.inf), d_max, np.nextafter(d_max, 0.0)]
+        (x1, y1), _, _ = _unit_extremes(ref, 1.0)
+        want = distance._cdf(x1, y1, np.array(ends), d_min, d_max)
+        got = [rp.distance_cdf(ref, 1.0, float(d)) for d in ends]
+        assert np.array(got).tobytes() == want.tobytes()
+        assert got[0] == 0.0 and got[2] == 1.0
+
+
 class TestDistanceCdfCurve:
     def test_two_points(self):
         curve = rp.distance_cdf_curve(CENTER, 1.0, 2)
@@ -121,6 +161,13 @@ class TestDistanceCdfCurve:
     def test_n_points_must_be_an_integer(self, n_points):
         with pytest.raises(ValueError, match="n_points must be an integer"):
             rp.distance_cdf_curve(CENTER, 1.0, n_points)
+
+    def test_n_points_limit_is_inclusive(self, monkeypatch):
+        # the cap is read at call time, so a small one stands in for 10**6
+        monkeypatch.setattr(distance, "MAX_CURVE_POINTS", 40)
+        assert len(rp.distance_cdf_curve(CENTER, 1.0, 40).cdf_values) == 40
+        with pytest.raises(ValueError, match="n_points must be at most 40"):
+            rp.distance_cdf_curve(CENTER, 1.0, 41)
 
     def test_evaluation_order_independence(self):
         # each grid value must be independent of its neighbours
@@ -152,16 +199,18 @@ class TestDistanceCdfCurve:
         assert len(nodes) == 1  # the whole curve is one integrand call
 
     def test_one_y_cdf_and_one_x_pdf_call(self, monkeypatch):
-        # a scalar query evaluates the y-CDF once, on both slice ends, and the x-PDF once
+        # a scalar query evaluates the y-CDF once, on both slice ends, and the
+        # x-PDF once; the integrand clamps its own arguments, so it calls the
+        # unchecked evaluator
         calls = []
-        call = PiecewisePolynomial.__call__
+        horner = PiecewisePolynomial._horner
 
         def counted(pp, t):
             calls.append(pp)
-            return call(pp, t)
+            return horner(pp, t)
 
         _hexagon_mass()  # cached, so the query below adds no call for it
-        monkeypatch.setattr(PiecewisePolynomial, "__call__", counted)
+        monkeypatch.setattr(PiecewisePolynomial, "_horner", counted)
         rp.distance_cdf(CENTER, 1.0, 0.5)
         assert calls == [_unit_tables("y")["stationary_cdf"], _unit_tables("x")["stationary_pdf"]]
 

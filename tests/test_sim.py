@@ -39,6 +39,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             rp.SimConfig(**fields)
 
+    @pytest.mark.parametrize("field", ["side", "v_min", "v_max", "duration", "sample_interval"])
+    @pytest.mark.parametrize("value", ["1", b"1", None, 1j])
+    def test_non_number_fields_rejected(self, field, value):
+        # float() would parse the text; a config is refused before any work
+        fields = dict(side=1.0, v_min=0.01, v_max=0.05, duration=10.0, sample_interval=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            rp.SimConfig(**fields)
+
 
 class TestSimulate:
     def test_zero_duration_single_position(self):

@@ -93,6 +93,18 @@ def test_one_bad_array_entry_raises(axis, bad):
             getattr(rp.axis_marginal(axis, 1.0), name)(np.array([0.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("arg", ["0.5", b"0.5", np.str_("0.5"), ["0.5"], np.array(["0.5", "1"]),
+                                 np.array([0.5, "1"], dtype=object), 0.5j,
+                                 np.array([0.5 + 0j]), np.array([0.5, 1j], dtype=object)])
+def test_text_or_complex_raises(axis, arg):
+    # numpy would parse text as a number and drop an imaginary part; every
+    # evaluator refuses both instead
+    for fn in _evaluators(axis, 1.0) + [rp.axis_marginal(axis, 1.0).stationary_cdf.table]:
+        with pytest.raises(ValueError, match="real number"):
+            fn(arg)
+
+
 @PROPERTY
 @given(other=st.floats(), bad=st.sampled_from(NON_FINITE), bad_first=st.booleans())
 def test_non_finite_ref_node_raises(other, bad, bad_first):

@@ -26,7 +26,6 @@ from .distance import (
     product_mass_hexagon,
 )
 from .sim import (
-    EmpiricalCdf,
     SimConfig,
     Trace,
     distances_to,

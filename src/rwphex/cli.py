@@ -1,5 +1,10 @@
 """Command-line front end: analytic curves, simulation, and comparison.
 
+A table command validates and computes, and returns its header, columns and
+extra manifest entries without opening a file; ``main`` times each command
+and writes its CSV and ``<out>.manifest``, or nothing if the command fails.
+``compare`` writes nothing and returns its exit code.
+
 Exit codes: 0 success (or comparison pass), 1 comparison failure, 2 usage
 or input error, including a NaN or infinite number.
 """
@@ -22,18 +27,13 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_USAGE = 2
 
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 _CSV_CHUNK = 1 << 14  # rows formatted per write
 
 
 def _write_csv(path, header, *columns):
-    """Write equal-length columns as CSV rows, each value as ``_fmt`` gives it."""
+    """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``."""
     table = np.column_stack(columns).astype(float)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"  # same text as _fmt
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
@@ -48,11 +48,8 @@ def _write_manifest(args, started, **extra):
     """Write ``<out>.manifest``: the command, every parsed option and ``extra``."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     params.update(extra)
-    lines = [f"command={args.command}"]
-    for key in sorted(params):
-        lines.append(f"{key}={params[key]}")
-    lines.append(f"version={__version__}")
-    lines.append(f"wall_clock_s={time.monotonic() - started:.3f}")
+    lines = [f"command={args.command}", *(f"{key}={params[key]}" for key in sorted(params)),
+             f"version={__version__}", f"wall_clock_s={time.monotonic() - started:.3f}"]
     try:
         with open(str(args.out) + ".manifest", "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -65,25 +62,22 @@ def _grid_n(args) -> int:
     return _count(args.grid_n, "--grid-n", 2, distance.MAX_CURVE_POINTS)
 
 
-def cmd_marginals(args) -> int:
-    started = time.monotonic()
+def _ref(args) -> RefNode:
+    """The node of ``--ref-x``/``--ref-y``; ValueError unless both are finite."""
+    return RefNode(Point2(args.ref_x, args.ref_y))
+
+
+def cmd_marginals(args):
     grid_n = _grid_n(args)
     m = axis_marginal(args.axis, args.side)
     grid = np.linspace(*m.stationary_cdf.domain, grid_n)
-    _write_csv(args.out, ("coord", "pdf", "cdf"),
-               grid, m.stationary_pdf(grid), m.stationary_cdf(grid))
-    _write_manifest(args, started)
-    return EXIT_OK
+    return ("coord", "pdf", "cdf"), (grid, m.stationary_pdf(grid), m.stationary_cdf(grid)), {}
 
 
-def cmd_distance_cdf(args) -> int:
-    started = time.monotonic()
+def cmd_distance_cdf(args):
     grid_n = _grid_n(args)
-    ref = RefNode(Point2(args.ref_x, args.ref_y))
-    curve = distance_cdf_curve(ref, args.side, grid_n)
-    _write_csv(args.out, ("d", "cdf"), curve.d_values, curve.cdf_values)
-    _write_manifest(args, started)
-    return EXIT_OK
+    curve = distance_cdf_curve(_ref(args), args.side, grid_n)
+    return ("d", "cdf"), (curve.d_values, curve.cdf_values), {}
 
 
 def _ecdf_rows(samples):
@@ -92,30 +86,22 @@ def _ecdf_rows(samples):
     return values, np.cumsum(counts) / len(samples)
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args):
     # refuse a bad or unreachably far node before simulating
-    ref = RefNode(Point2(args.ref_x, args.ref_y))
+    ref = _ref(args)
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
                        duration=args.duration, sample_interval=args.dt,
                        seed=args.seed)
     HexRegion(args.side).distance_extremes(ref)
     trace = simulate(config)
-    dists = distances_to(trace, ref)
-    _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
-    _write_manifest(args, started, legs=len(trace.waypoints) - 1, samples=len(trace))
-    return EXIT_OK
+    return (("d", "ecdf"), _ecdf_rows(distances_to(trace, ref)),
+            {"legs": len(trace.waypoints) - 1, "samples": len(trace)})
 
 
-def cmd_baseline(args) -> int:
-    started = time.monotonic()
+def cmd_baseline(args):
     rng = np.random.default_rng(args.seed)
-    dists = uniform_node_distances(HexRegion(args.side),
-                                   RefNode(Point2(args.ref_x, args.ref_y)),
-                                   args.n, rng)
-    _write_csv(args.out, ("d", "ecdf"), *_ecdf_rows(dists))
-    _write_manifest(args, started)
-    return EXIT_OK
+    dists = uniform_node_distances(HexRegion(args.side), _ref(args), args.n, rng)
+    return ("d", "ecdf"), _ecdf_rows(dists), {}
 
 
 def _read_curve(path):
@@ -146,9 +132,9 @@ def cmd_compare(args) -> int:
     gap = np.abs(np.interp(grid, da, va) - np.interp(grid, de, ve))
     k = int(np.argmax(gap))
     ks = float(gap[k])
-    print(f"ks_statistic={_fmt(ks)}")
-    print(f"max_gap_at_d={_fmt(grid[k])}")
-    print(f"threshold={_fmt(args.threshold)}")
+    print(f"ks_statistic={ks:.17g}")
+    print(f"max_gap_at_d={grid[k]:.17g}")
+    print(f"threshold={args.threshold:.17g}")
     if ks < args.threshold:
         print("result=pass")
         return EXIT_OK
@@ -165,40 +151,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("marginals", help="export stationary per-axis PDF/CDF")
-    p.add_argument("--side", type=float, default=1.0)
+    # options shared by the table commands, each declared once
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--side", type=float, default=1.0)
+    table.add_argument("--out", required=True)
+    node = argparse.ArgumentParser(add_help=False, parents=[table])
+    node.add_argument("--ref-x", type=float, required=True)
+    node.add_argument("--ref-y", type=float, required=True)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[node])
+    seeded.add_argument("--seed", type=int, required=True)
+
+    p = sub.add_parser("marginals", parents=[table], help="export stationary per-axis PDF/CDF")
     p.add_argument("--axis", choices=("x", "y"), required=True)
     p.add_argument("--grid-n", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_marginals)
 
-    p = sub.add_parser("distance-cdf", help="export the analytic distance CDF")
-    p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--ref-x", type=float, required=True)
-    p.add_argument("--ref-y", type=float, required=True)
+    p = sub.add_parser("distance-cdf", parents=[node], help="export the analytic distance CDF")
     p.add_argument("--grid-n", type=int, default=200)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distance_cdf)
 
-    p = sub.add_parser("simulate", help="run the RWP simulator, export distance ecdf")
-    p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--ref-x", type=float, required=True)
-    p.add_argument("--ref-y", type=float, required=True)
+    p = sub.add_parser("simulate", parents=[seeded],
+                       help="run the RWP simulator, export distance ecdf")
     p.add_argument("--v-min", type=float, default=0.01)
     p.add_argument("--v-max", type=float, default=0.05)
     p.add_argument("--duration", type=float, default=100000.0)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("baseline", help="distances to i.i.d. uniform node positions")
-    p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--ref-x", type=float, required=True)
-    p.add_argument("--ref-y", type=float, required=True)
+    p = sub.add_parser("baseline", parents=[seeded],
+                       help="distances to i.i.d. uniform node positions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser(
@@ -217,10 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # compare's exit code
+            return result
+        header, columns, extra = result
+        _write_csv(args.out, header, *columns)
+        _write_manifest(args, started, **extra)
+        return EXIT_OK
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(f"error: {exc.code}", file=sys.stderr)

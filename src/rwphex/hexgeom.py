@@ -60,8 +60,9 @@ class RefNode:
     pos: Point2
 
     def __post_init__(self):
-        if not (math.isfinite(self.pos[0]) and math.isfinite(self.pos[1])):
-            raise ValueError("reference node coordinates must be finite")
+        for v in self.pos:
+            if not math.isfinite(_real(v, "reference node coordinate")):
+                raise ValueError("reference node coordinates must be finite")
 
 
 def _segment_distance(px, py, ax, ay, bx, by):
@@ -76,10 +77,11 @@ class HexRegion:
     side: float
 
     def __post_init__(self):
-        if not (self.side > 0 and math.isfinite(self.side)):
+        side = _real(self.side, "side")
+        if not (side > 0 and math.isfinite(side)):
             raise ValueError("side must be positive and finite")
         # the vertices compute 3a, and contains_mask nothing larger on the bounding box
-        if not math.isfinite(3 * self.side):
+        if not math.isfinite(3 * side):
             raise ValueError("side is too large: the cell's coordinates overflow")
 
     @property
@@ -155,6 +157,7 @@ def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
 
     At side 1 each squared edge length is 1, and nothing overflows unless d_max does.
     """
+    a = _real(a, "side")
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("side must be positive and finite")
     px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)

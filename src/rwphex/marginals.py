@@ -117,14 +117,14 @@ class SideScaled(NamedTuple):
         return self.table.breakpoints * self.side
 
     def __call__(self, t):
-        if type(t) in (float, int):
-            t = t / self.side
-        else:
-            with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
-                t = _float_array(t) / self.side
         try:
+            if isinstance(t, (float, int)):  # np.float64 among them
+                t = float(t) / self.side  # OverflowError for an int beyond the float range
+            else:
+                with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
+                    t = _float_array(t) / self.side
             return self.table(t) * self.factor
-        except DomainError:
+        except (DomainError, OverflowError):
             raise DomainError("argument outside domain [%s, %s]" % self.domain) from None
 
 
@@ -157,7 +157,7 @@ def axis_marginal(axis: str, side: float) -> AxisMarginal:
 
 
 # The benchmark's point-queries workload calls these four by name; they go
-# once it calls the AxisMarginal fields instead (ROADMAP item 6).
+# once it calls the AxisMarginal fields instead (ROADMAP item 3).
 def stationary_cdf_x(x: float, a: float) -> float:
     return axis_marginal("x", a).stationary_cdf(x)
 

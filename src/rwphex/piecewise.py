@@ -21,8 +21,8 @@ integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
 saves two reductions and two clamp passes per call.  It still calls
 ``__call__``, where the benchmark's tracer counts table evaluations.  Text
 and complex numbers are refused with ``ValueError`` rather than parsed or
-cut to their real part; the Python-float branch pays nothing for that
-check.
+cut to their real part, and an int beyond the float range with
+``DomainError``; the Python-float branch pays nothing for those checks.
 
 The coefficients are floats: ``marginals._unit_tables`` rounds each exact
 coefficient once when it builds a side-1 table.  No table is rescaled: the
@@ -45,13 +45,17 @@ class DomainError(ValueError):
 
 def _float_array(t):
     """``t`` as a float array; ValueError for text, which numpy would parse,
-    and for complex numbers, whose imaginary part it would drop."""
+    and for complex numbers, whose imaginary part it would drop, and
+    DomainError for an int beyond the float range."""
     t = np.asarray(t)
     kind = t.dtype.kind
     if kind not in "biufO" or (
             kind == "O" and any(isinstance(v, (str, bytes, complex)) for v in t.flat)):
         raise ValueError("argument must be a real number or an array of real numbers")
-    return t.astype(float, copy=False)
+    try:
+        return t.astype(float, copy=False)
+    except OverflowError:
+        raise DomainError("argument outside the float range") from None
 
 
 class PiecewisePolynomial:
@@ -112,7 +116,10 @@ class PiecewisePolynomial:
                 # np.clip's order, so that a tie keeps the argument's zero sign
                 return self._horner(np.minimum(hi, np.maximum(lo, t)))
         lo, hi, tol = self._lo, self._hi, self._tol
-        t = float(t)
+        try:
+            t = float(t)
+        except OverflowError:  # an int beyond the float range fails the check below
+            t = math.nan
         if not (lo - tol <= t <= hi + tol):
             raise DomainError(f"argument outside domain [{lo}, {hi}]")
         t = min(max(t, lo), hi)

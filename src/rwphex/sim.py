@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hexgeom import HexRegion, RefNode, _count, _real
+from .piecewise import _float_array
 
 __all__ = [
     "SimConfig",
     "Trace",
-    "EmpiricalCdf",
     "simulate",
     "distances_to",
     "ecdf",
@@ -119,13 +119,14 @@ def _legs(config: SimConfig, rng: np.random.Generator):
         block = region.sample_uniform_batch(LEG_BLOCK, rng)
         speed = rng.uniform(config.v_min, config.v_max, LEG_BLOCK)
         drawn += LEG_BLOCK
-        with np.errstate(over="ignore"):  # a leg too slow for a float lasts forever
+        # a leg, or a clock, too long for a float lasts forever
+        with np.errstate(over="ignore"):
             dur = np.hypot(*np.diff(np.concatenate((origin, block)), axis=0).T) / speed
-        # a destination that equals its origin also equals the last kept one,
-        # so dropping its leg leaves every later leg unchanged
-        keep = dur > 0
-        block, dur = block[keep], dur[keep]
-        clock = np.cumsum(np.concatenate(([t], dur)))
+            # a destination that equals its origin also equals the last kept one,
+            # so dropping its leg leaves every later leg unchanged
+            keep = dur > 0
+            block, dur = block[keep], dur[keep]
+            clock = np.cumsum(np.concatenate(([t], dur)))
         n = np.searchsorted(clock[:-1], config.duration)  # legs starting before the end
         if n:
             dests.append(block[:n])
@@ -207,7 +208,7 @@ class EmpiricalCdf:
     __slots__ = ("sorted_samples",)
 
     def __init__(self, samples):
-        arr = np.asarray(samples, dtype=float)
+        arr = _float_array(samples)
         if arr.ndim != 1:  # np.sort would sort each row of a 2-D array
             raise ValueError(f"samples have shape {arr.shape}; need (n,)")
         arr = np.sort(arr)
@@ -222,11 +223,12 @@ class EmpiricalCdf:
         return self.sorted_samples.size
 
     def __call__(self, d):
+        d = _float_array(d)
         if np.isnan(d).any():  # searchsorted would rank NaN above every sample
             raise ValueError("d must not be NaN")
         pos = np.searchsorted(self.sorted_samples, d, side="right")
         out = pos / self.sorted_samples.size
-        return float(out) if np.ndim(d) == 0 else out
+        return float(out) if d.ndim == 0 else out
 
 
 def ecdf(samples) -> EmpiricalCdf:
@@ -249,11 +251,12 @@ def ks_statistic(emp: EmpiricalCdf, model) -> float:
     """sup |empirical - model| over the sample points, both step sides.
 
     ``model`` maps the sorted samples to one value each, or to one scalar.
-    Any other shape, or a value that is not finite, raises ``ValueError``.
+    Any other shape, or a value that is not a finite real number (text and
+    complex numbers included), raises ``ValueError``.
     """
     s = emp.sorted_samples
     n = s.size
-    m = np.asarray(model(s), dtype=float)
+    m = _float_array(model(s))
     if m.shape not in ((), (n,)):
         raise ValueError(f"model output has shape {m.shape}; need () or ({n},)")
     ks = 0.0  # every block's value is at least 1 / (2n)

@@ -16,8 +16,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 SQRT3 = math.sqrt(3.0)
+
+# the hypothesis settings of every property test: fixed examples, no database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def run_fresh(code, timeout=10):

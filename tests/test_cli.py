@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -352,3 +353,60 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == __version__
+
+
+# One run of each table command: its argv without --out, the SHA-256 of its
+# CSV, and its manifest without the wall_clock_s line.
+PINNED_RUNS = {
+    "marginals-x": (["marginals", "--axis", "x", "--grid-n", "7"],
+                    "b5c812b9a3f035817f5ac57499d78bd357086fbf2f24cb143c52aa0381174b42",
+                    "command=marginals\naxis=x\ngrid_n=7\nside=1.0\n"),
+    "marginals-y": (["marginals", "--axis", "y", "--side", "2.5", "--grid-n", "9"],
+                    "fb15d957e1df81e2de2b86130fea402fc435c6676d9f57bb7e08a67c96d7c91d",
+                    "command=marginals\naxis=y\ngrid_n=9\nside=2.5\n"),
+    "cdf-inner": (["distance-cdf", "--ref-x", "1", "--ref-y", "0.8", "--grid-n", "12"],
+                  "b010a9d861fbee153f2646ed3759000e75c24ec574626821596b68da2f82bc82",
+                  "command=distance-cdf\ngrid_n=12\nref_x=1.0\nref_y=0.8\nside=1.0\n"),
+    "cdf-outer": (["distance-cdf", "--side", "2", "--ref-x", "3", "--ref-y", "3",
+                   "--grid-n", "12"],
+                  "ca21634a4b84da6d32615f44a061660b6dcd446114ad62cc0821ea18480c9a66",
+                  "command=distance-cdf\ngrid_n=12\nref_x=3.0\nref_y=3.0\nside=2.0\n"),
+    "simulate": (["simulate", "--ref-x", "1", "--ref-y", "0.8", "--duration", "500",
+                  "--seed", "77"],
+                 "33b56732268b6fe60c94aea01c07b8fc11075767973f24ea6ffcd9e3cc859668",
+                 "command=simulate\ndt=1.0\nduration=500.0\nlegs=14\nref_x=1.0\nref_y=0.8\n"
+                 "samples=501\nseed=77\nside=1.0\nv_max=0.05\nv_min=0.01\n"),
+    "baseline": (["baseline", "--ref-x", "1", "--ref-y", "0.8", "--n", "1000", "--seed", "3"],
+                 "ab930bf196eb6551573a6136e9c9ff34dbc2e2d7e92be9c73b84fe1a8acd1943",
+                 "command=baseline\nn=1000\nref_x=1.0\nref_y=0.8\nseed=3\nside=1.0\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs(tmp_path_factory):
+    """Run every pinned command once; the directory that holds their outputs."""
+    out_dir = tmp_path_factory.mktemp("pinned")
+    for name, (argv, _, _) in PINNED_RUNS.items():
+        assert main(argv + ["--out", str(out_dir / f"{name}.csv")]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_output_bytes_pinned(pinned_outputs, name):
+    _, csv_digest, manifest = PINNED_RUNS[name]
+    out = pinned_outputs / f"{name}.csv"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    lines = Path(str(out) + ".manifest").read_bytes().decode().splitlines(keepends=True)
+    assert [line for line in lines if line.startswith("wall_clock_s=")]
+    kept = "".join(line for line in lines if not line.startswith("wall_clock_s="))
+    assert kept == manifest + f"version={__version__}\n"
+
+
+def test_compare_output_pinned(pinned_outputs, capsys):
+    rc = main(["compare", str(pinned_outputs / "cdf-inner.csv"),
+               str(pinned_outputs / "simulate.csv")])
+    assert rc == 1
+    assert capsys.readouterr().out == ("ks_statistic=0.086660681431024233\n"
+                                       "max_gap_at_d=0.54996007609053887\n"
+                                       "threshold=0.050000000000000003\n"
+                                       "result=fail\n")

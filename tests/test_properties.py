@@ -1,0 +1,147 @@
+"""Property suite: each public call returns a value in range within a
+wall-clock budget, or raises ``ValueError``, whatever it is given.
+
+The inputs mix finite, NaN, infinite, non-integer and extreme numbers
+(±1e308, 5e-324, an int beyond the float range) with text, complex numbers
+and ``None``.  Caps are monkeypatched down, so no call asks for a large
+allocation; ``simulate``, whose leg loop is the one loop that depends on
+its inputs, runs in a fresh interpreter under a timeout.
+"""
+
+import math
+import os
+import time
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import rwphex as rp
+from conftest import PROPERTY, run_fresh
+from rwphex import distance, sim
+from rwphex.hexgeom import HexRegion, Point2, RefNode
+
+BUDGET_S = 2.0  # per call; every call below takes milliseconds
+EXTREME = (0.0, -0.0, 0.5, 2.5, -1.0, 1e308, -1e308, 5e-324, 1e-300,
+           10**400, -10**400, math.nan, math.inf, -math.inf)
+NOT_NUMBERS = ("0.5", b"1", 1j, 0.5 + 0j, None, [0.5])
+
+numbers = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(EXTREME))
+anything = st.one_of(numbers, st.sampled_from(NOT_NUMBERS))
+coords = st.floats(-3.0, 5.0)
+sides = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((1e-300, 1e300, 5e307)))
+
+
+@st.composite
+def inputs(draw, **usable):
+    """Keyword arguments drawn from ``usable``; in about half of the draws one of
+    them, chosen at random, is replaced by any input."""
+    kw = {name: draw(strategy) for name, strategy in usable.items()}
+    if draw(st.booleans()):
+        kw[draw(st.sampled_from(sorted(kw)))] = draw(anything)
+    return kw
+
+
+def _timed(fn):
+    """``fn()`` and its wall time, with None for the value if it raised ValueError."""
+    t0 = time.perf_counter()
+    try:
+        value = fn()
+    except ValueError:
+        value = None
+    return value, time.perf_counter() - t0
+
+
+@PROPERTY
+@given(kw=inputs(x=coords, y=coords, side=sides, d=st.floats(0.0, 5.0)))
+def test_distance_cdf(kw):
+    value, elapsed = _timed(
+        lambda: rp.distance_cdf(RefNode(Point2(kw["x"], kw["y"])), kw["side"], kw["d"]))
+    assert elapsed < BUDGET_S
+    assert value is None or (type(value) is float and 0.0 <= value <= 1.0)
+
+
+@PROPERTY
+@given(kw=inputs(x=coords, y=coords, side=sides, n_points=st.integers(-2, 80)))
+def test_distance_cdf_curve(kw):
+    n_points = kw["n_points"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "MAX_CURVE_POINTS", 64)
+        curve, elapsed = _timed(lambda: rp.distance_cdf_curve(
+            RefNode(Point2(kw["x"], kw["y"])), kw["side"], n_points))
+    assert elapsed < BUDGET_S
+    if curve is None:
+        return
+    d, cdf = curve.d_values, curve.cdf_values
+    assert 2 <= n_points <= 64 and d.shape == cdf.shape == (n_points,)
+    assert np.all(np.isfinite(d)) and np.all(np.diff(d) >= 0)
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -1e-12)
+
+
+@PROPERTY
+@given(samples=st.one_of(st.lists(st.floats(-1e308, 1e308), max_size=20),
+                         st.lists(numbers, max_size=20), st.lists(anything, max_size=4),
+                         anything),
+       d=st.one_of(st.floats(-1e308, 1e308), anything, st.lists(numbers, max_size=5)))
+def test_ecdf(samples, d):
+    emp, elapsed = _timed(lambda: rp.ecdf(samples))
+    assert elapsed < BUDGET_S
+    if emp is None:
+        return
+    assert np.all(np.isfinite(emp.sorted_samples)) and len(emp) == len(samples)
+    value, elapsed = _timed(lambda: emp(d))
+    assert elapsed < BUDGET_S
+    assert value is None or np.all((np.asarray(value) >= 0.0) & (np.asarray(value) <= 1.0))
+
+
+@PROPERTY
+@given(samples=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50),
+       out=st.one_of(anything, st.lists(numbers, min_size=1, max_size=60),
+                     st.just("samples")))
+def test_ks_statistic(samples, out):
+    emp = rp.ecdf(samples)
+    # "samples" stands for a model that maps each sample to itself clipped into [0, 1]
+    model = (lambda s: np.clip(s, 0.0, 1.0)) if out == "samples" else (lambda s: out)
+    ks, elapsed = _timed(lambda: rp.ks_statistic(emp, model))
+    assert elapsed < BUDGET_S
+    if ks is None:
+        return
+    m = np.asarray(model(emp.sorted_samples), dtype=float)
+    assert type(ks) is float and math.isfinite(ks) and ks >= 0.5 / len(samples)
+    if np.all((m >= 0.0) & (m <= 1.0)):
+        assert ks <= 1.0
+
+
+@PROPERTY
+@given(kw=inputs(side=sides, v_min=st.floats(1e-3, 0.1), v_max=st.floats(0.1, 1.0),
+                 duration=st.floats(0.0, 1e3), sample_interval=st.floats(0.1, 10.0),
+                 seed=st.integers(0, 2**70)))
+# the slowest speed at the largest sides: a leg's time, and so the clock, overflows
+@example(kw=dict(side=5e307, v_min=5e-324, v_max=1.0, duration=100.0, sample_interval=1.0,
+                 seed=1))
+def _simulate_property(kw):
+    """``SimConfig`` then ``simulate``; run by ``test_simulate`` with the caps lowered."""
+    trace, elapsed = _timed(lambda: sim.simulate(sim.SimConfig(**kw)))
+    assert elapsed < BUDGET_S
+    if trace is None:
+        return
+    xs, ys = trace.positions.T
+    assert len(trace) == math.floor(kw["duration"] / kw["sample_interval"]) + 1
+    assert np.all(HexRegion(kw["side"]).contains_mask(xs, ys))
+
+
+def test_simulate():
+    # a fresh interpreter that treats RuntimeWarning as an error, as this
+    # suite does, with caps that keep every trace under 10**4 samples and legs
+    code = f"""
+import sys, warnings
+warnings.simplefilter("error", RuntimeWarning)
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+from rwphex import sim
+sim.MAX_SAMPLES = sim.MAX_LEGS = 10**4
+import test_properties
+test_properties._simulate_property()
+print("ok")
+"""
+    assert run_fresh(code, timeout=120) == "ok"

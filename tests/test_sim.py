@@ -356,6 +356,11 @@ class TestScaledDistances:
 
 
 class TestEmpiricalCdf:
+    def test_one_public_name(self):
+        # ecdf is the public name; the class it returns is not exported
+        assert "ecdf" in rp.__all__ and "ecdf" in sim.__all__
+        assert "EmpiricalCdf" not in rp.__all__ and "EmpiricalCdf" not in sim.__all__
+
     def test_strict_less_convention(self):
         emp = rp.ecdf([1.0, 2.0, 3.0])
         assert emp(2.5) == pytest.approx(2 / 3)

@@ -7,13 +7,16 @@ of repeating them.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import rwphex as rp
+from conftest import PROPERTY
+from rwphex import marginals, piecewise
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex.piecewise import DomainError
 
@@ -22,7 +25,6 @@ WRAPPERS = {"x": (rp.stationary_cdf_x, rp.stationary_pdf_x),
             "y": (rp.stationary_cdf_y, rp.stationary_pdf_y)}
 UPPER = {"x": 2.0, "y": SQRT3}  # upper domain end at side 1
 NON_FINITE = (math.nan, math.inf, -math.inf)
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 sides = st.floats(min_value=1e-3, max_value=1e3)
 axes = st.sampled_from(("x", "y"))
@@ -103,6 +105,64 @@ def test_text_or_complex_raises(axis, arg):
     for fn in _evaluators(axis, 1.0) + [rp.axis_marginal(axis, 1.0).stationary_cdf.table]:
         with pytest.raises(ValueError, match="real number"):
             fn(arg)
+
+
+_REF = RefNode(Point2(1.0, 0.8))
+_EMP = rp.ecdf([0.5, 1.0])
+
+
+# Each public entry that takes a number, given text, a complex number, None
+# or an int beyond the float range
+@pytest.mark.parametrize("call", [
+    lambda: RefNode(Point2("0.5", 0)),
+    lambda: RefNode(Point2(1j, 0)),
+    lambda: RefNode(Point2(0, 10**400)),
+    lambda: HexRegion("1"),
+    lambda: HexRegion(None),
+    lambda: HexRegion(10**400),
+    lambda: rp.axis_marginal("x", "2"),
+    lambda: rp.axis_marginal("y", 10**400),
+    lambda: rp.distance_cdf(_REF, "1", 0.5),
+    lambda: rp.distance_cdf(_REF, 10**400, 0.5),
+    lambda: rp.distance_cdf_curve(_REF, "1", 5),
+    lambda: rp.product_mass_hexagon(_REF, "1"),
+    lambda: rp.ecdf(["0.5", "1"]),
+    lambda: rp.ecdf([0.5, 10**400]),
+    lambda: _EMP("0.7"),
+    lambda: _EMP(None),
+    lambda: _EMP(0.7 + 1j),
+    lambda: rp.ks_statistic(_EMP, lambda s: "0.5"),
+    lambda: rp.ks_statistic(_EMP, lambda s: s + 0j),
+], ids=["ref-text", "ref-complex", "ref-big-int", "hex-text", "hex-none", "hex-big-int",
+        "marginal-text", "marginal-big-int", "cdf-text", "cdf-big-int", "curve-text",
+        "mass-text", "ecdf-text", "ecdf-big-int", "emp-text", "emp-none", "emp-complex",
+        "ks-text", "ks-complex"])
+def test_non_number_at_public_entry_raises(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it drops an imaginary part
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("big", [10**400, -10**400, np.array([0, 10**400], dtype=object)],
+                         ids=["int", "negative-int", "array"])
+def test_int_beyond_float_range_is_outside_domain(axis, big):
+    for fn in _evaluators(axis, 1.0) + [rp.axis_marginal(axis, 1.0).stationary_cdf.table]:
+        with pytest.raises(DomainError):
+            fn(big)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_float64_field_takes_the_float_branch(monkeypatch, name):
+    def refuse(t):
+        raise AssertionError("an np.float64 reached _float_array")
+
+    field = getattr(rp.axis_marginal("y", 2.0), name)
+    want = field(1.25)
+    for module in (marginals, piecewise):
+        monkeypatch.setattr(module, "_float_array", refuse)
+    assert field(np.float64(1.25)) == want
 
 
 @PROPERTY

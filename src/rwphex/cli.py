@@ -5,6 +5,14 @@ extra manifest entries without opening a file; ``main`` times each command
 and writes its CSV and ``<out>.manifest``, or nothing if the command fails.
 ``compare`` writes nothing and returns its exit code.
 
+Every CSV value is the text of ``format(v, ".17g")``, which reads back as
+the same float.  ``_fmt.csv_rows`` writes it with numpy, a block of rows at
+a time: a positive value that ``%g`` prints in fixed notation (exponent -4
+to 16) gets its 17 digits from the exact product of the value and a power
+of ten (Dekker's TwoProduct, rounded half-even like ``format``); zero,
+negative, subnormal and non-finite values and the ``e`` form go through
+``format`` itself.
+
 Exit codes: 0 success (or comparison pass), 1 comparison failure, 2 usage
 or input error, including a NaN or infinite number.
 """
@@ -18,6 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, distance
+from ._fmt import csv_rows
 from .hexgeom import HexRegion, Point2, RefNode, _count
 from .distance import distance_cdf_curve
 from .marginals import axis_marginal
@@ -27,19 +36,22 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_USAGE = 2
 
-_CSV_CHUNK = 1 << 14  # rows formatted per write
-
-
 def _write_csv(path, header, *columns):
-    """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``."""
+    """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``.
+
+    ``_fmt.csv_rows`` gives those bytes a block of rows at a time.  A
+    positive value with a ``%g`` exponent from -4 to 16 takes its 17 digits
+    from v * 10**(16 - E), computed exactly as a double and its error term,
+    so they are the correctly rounded digits that ``format`` prints; any
+    other value goes through ``format`` itself.  Only one block's text is
+    held at a time.
+    """
     table = np.column_stack(columns).astype(float)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for lo in range(0, len(table), _CSV_CHUNK):
-                chunk = table[lo:lo + _CSV_CHUNK]
-                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for block in csv_rows(table):
+                fh.write(block)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc}") from exc
 
@@ -108,7 +120,7 @@ def _read_curve(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot parse {path}: {exc}") from exc
     if len(header) != 2 or data.shape[1] != 2 or header[0] != "d":

@@ -38,6 +38,8 @@ def _count(value, name: str, least: int, most: float = math.inf) -> int:
 
 def _real(value, name: str) -> float:
     """``value`` as a float; ValueError for text, which ``float`` would parse, or a non-number."""
+    if type(value) is float:  # the common case, returned as ``float`` would
+        return value
     if isinstance(value, (str, bytes)):
         raise ValueError(f"{name} must be a number, not text")
     try:

@@ -19,10 +19,11 @@ computed.
 A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
 saves two reductions and two clamp passes per call.  It still calls
-``__call__``, where the benchmark's tracer counts table evaluations.  Text
-and complex numbers are refused with ``ValueError`` rather than parsed or
-cut to their real part, and an int beyond the float range with
-``DomainError``; the Python-float branch pays nothing for those checks.
+``__call__``, where the benchmark's tracer counts table evaluations.  Text,
+complex numbers and ``None`` are refused with ``ValueError`` rather than
+parsed, cut to their real part or read as NaN, and an int beyond the float
+range with ``DomainError``; the Python-float branch pays nothing for those
+checks.
 
 The coefficients are floats: ``marginals._unit_tables`` rounds each exact
 coefficient once when it builds a side-1 table.  No table is rescaled: the
@@ -45,12 +46,13 @@ class DomainError(ValueError):
 
 def _float_array(t):
     """``t`` as a float array; ValueError for text, which numpy would parse,
-    and for complex numbers, whose imaginary part it would drop, and
-    DomainError for an int beyond the float range."""
+    for complex numbers, whose imaginary part it would drop, and for
+    ``None``, which it would turn into NaN; DomainError for an int beyond
+    the float range."""
     t = np.asarray(t)
     kind = t.dtype.kind
     if kind not in "biufO" or (
-            kind == "O" and any(isinstance(v, (str, bytes, complex)) for v in t.flat)):
+            kind == "O" and any(isinstance(v, (str, bytes, complex, type(None))) for v in t.flat)):
         raise ValueError("argument must be a real number or an array of real numbers")
     try:
         return t.astype(float, copy=False)

@@ -10,6 +10,7 @@ import pytest
 
 import rwphex
 from rwphex import __version__, sim
+from rwphex._fmt import ROWS_PER_BLOCK
 from rwphex.cli import _write_csv, main
 
 SQRT3 = math.sqrt(3.0)
@@ -125,15 +126,18 @@ class TestDistanceCdfCommand:
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):
-    special = [-0.0, 5e-324, 1e-300, 1 / 3, 1.0, 0.1, -2.5e17, 123456789.0]
+    special = [-0.0, 5e-324, 1e-300, 1 / 3, 1.0, 0.1, -2.5e17, 123456789.0,
+               -2.2250738585072014e-308, 0.0001, 1e16, 1e17]
     rng = np.random.default_rng(1)
-    # longer than one write chunk
-    a = np.concatenate((special, rng.standard_normal(1 << 14)))
-    b = np.concatenate((special[::-1], rng.uniform(0.0, 1e-8, 1 << 14)))
+    # longer than two blocks of the formatter
+    n = 2 * ROWS_PER_BLOCK + 3
+    a = np.concatenate((special, rng.standard_normal(n)))
+    b = np.concatenate((special[::-1], rng.uniform(0.0, 1e-8, n)))
+    c = np.concatenate((special, rng.uniform(0.0, 2.0, n)))
     out = tmp_path / "t.csv"
-    _write_csv(out, ("a", "b"), a, b)
-    expected = "a,b\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')}\n"
-                                   for x, y in zip(a.tolist(), b.tolist()))
+    _write_csv(out, ("a", "b", "c"), a, b, c)
+    expected = "a,b,c\n" + "".join(f"{format(x, '.17g')},{format(y, '.17g')},{format(z, '.17g')}\n"
+                                     for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
     assert out.read_bytes() == expected.encode()
 
 
@@ -379,6 +383,15 @@ PINNED_RUNS = {
     "baseline": (["baseline", "--ref-x", "1", "--ref-y", "0.8", "--n", "1000", "--seed", "3"],
                  "ab930bf196eb6551573a6136e9c9ff34dbc2e2d7e92be9c73b84fe1a8acd1943",
                  "command=baseline\nn=1000\nref_x=1.0\nref_y=0.8\nseed=3\nside=1.0\n"),
+    # a tenth of the benchmark's table sizes: many write blocks each
+    "simulate-1e5": (["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "100000",
+                      "--seed", "19"],
+                     "2948e631dd2248c0c6e99384463113bff885b5aea136f420823f26797037ec4b",
+                     "command=simulate\ndt=1.0\nduration=100000.0\nlegs=2981\nref_x=0.0\n"
+                     "ref_y=0.0\nsamples=100001\nseed=19\nside=1.0\nv_max=0.05\nv_min=0.01\n"),
+    "baseline-1e5": (["baseline", "--ref-x", "0", "--ref-y", "0", "--n", "100000", "--seed", "19"],
+                     "f90d402223c87ddcbb0cf8e6c5d750228c4858650b54582b092f97082d442d55",
+                     "command=baseline\nn=100000\nref_x=0.0\nref_y=0.0\nseed=19\nside=1.0\n"),
 }
 
 

@@ -144,6 +144,25 @@ def test_non_number_at_public_entry_raises(call):
             call()
 
 
+# None is no number: numpy's astype(float) would read it as NaN, so the
+# error named a domain or a NaN instead
+@pytest.mark.parametrize("call", [
+    lambda: rp.axis_marginal("x", 1.0).stationary_cdf(None),
+    lambda: rp.axis_marginal("y", 1.0).stationary_pdf(np.array([0.5, None], dtype=object)),
+    lambda: rp.axis_marginal("x", 1.0).stationary_cdf.table(None),
+    lambda: _EMP(None),
+    lambda: _EMP(np.array([None, 1.0])),
+    lambda: rp.ecdf([None, 1.0]),
+    lambda: rp.ks_statistic(_EMP, lambda s: None),
+    lambda: rp.ks_statistic(_EMP, lambda s: [None, 0.5]),
+], ids=["marginal-none", "marginal-array-none", "table-none", "emp-none", "emp-array-none",
+        "ecdf-none", "ks-none", "ks-array-none"])
+def test_none_is_not_a_number(call):
+    with pytest.raises(ValueError, match="real number") as info:
+        call()
+    assert not isinstance(info.value, DomainError)
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("big", [10**400, -10**400, np.array([0, 10**400], dtype=object)],
                          ids=["int", "negative-int", "array"])

@@ -6,12 +6,11 @@ and writes its CSV and ``<out>.manifest``, or nothing if the command fails.
 ``compare`` writes nothing and returns its exit code.
 
 Every CSV value is the text of ``format(v, ".17g")``, which reads back as
-the same float.  ``_fmt.csv_rows`` writes it with numpy, a block of rows at
-a time: a positive value that ``%g`` prints in fixed notation (exponent -4
-to 16) gets its 17 digits from the exact product of the value and a power
-of ten (Dekker's TwoProduct, rounded half-even like ``format``); zero,
-negative, subnormal and non-finite values and the ``e`` form go through
-``format`` itself.
+the same float; ``_fmt`` says how it is written a block of rows at a time.
+
+Every refusal is a ``ValueError``, from the library or from this module (a
+bad input file, an unwritable path); ``main`` prints it as one ``error:``
+line on stderr and returns 2, and argparse exits 2 for a malformed option.
 
 Exit codes: 0 success (or comparison pass), 1 comparison failure, 2 usage
 or input error, including a NaN or infinite number.
@@ -22,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -39,12 +39,9 @@ EXIT_USAGE = 2
 def _write_csv(path, header, *columns):
     """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``.
 
-    ``_fmt.csv_rows`` gives those bytes a block of rows at a time.  A
-    positive value with a ``%g`` exponent from -4 to 16 takes its 17 digits
-    from v * 10**(16 - E), computed exactly as a double and its error term,
-    so they are the correctly rounded digits that ``format`` prints; any
-    other value goes through ``format`` itself.  Only one block's text is
-    held at a time.
+    ``_fmt.csv_rows`` gives those bytes a block of rows at a time, so only
+    one block's text is held at once.  ValueError if the file cannot be
+    written.
     """
     table = np.column_stack(columns).astype(float)
     try:
@@ -53,7 +50,7 @@ def _write_csv(path, header, *columns):
             for block in csv_rows(table):
                 fh.write(block)
     except OSError as exc:
-        raise SystemExit(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_manifest(args, started, **extra):
@@ -66,7 +63,7 @@ def _write_manifest(args, started, **extra):
         with open(str(args.out) + ".manifest", "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise SystemExit(f"cannot write manifest: {exc}") from exc
+        raise ValueError(f"cannot write manifest: {exc}") from exc
 
 
 def _grid_n(args) -> int:
@@ -120,26 +117,33 @@ def _read_curve(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a table without rows is refused below, in the CLI's own words
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot parse {path}: {exc}") from exc
-    if len(header) != 2 or data.shape[1] != 2 or header[0] != "d":
-        raise SystemExit(f"{path}: expected a two-column CSV with a 'd' column")
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
+    if len(header) != 2 or (data.size and data.shape[1] != 2) or header[0] != "d":
+        raise ValueError(f"{path}: expected a two-column CSV with a 'd' column")
+    if not data.size:
+        raise ValueError(f"{path}: no data rows")
     if not np.isfinite(data).all():
-        raise SystemExit(f"cannot parse {path}: values must be finite")
+        raise ValueError(f"cannot parse {path}: values must be finite")
     d, v = data[:, 0], data[:, 1]
     if np.any(np.diff(d) < 0):
-        raise SystemExit(f"{path}: d column must be sorted")
+        raise ValueError(f"{path}: d column must be sorted")
     return d, v
 
 
 def cmd_compare(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise ValueError("--threshold must be finite")
     da, va = _read_curve(args.analytic_csv)
     de, ve = _read_curve(args.empirical_csv)
     lo = max(da[0], de[0])
     hi = min(da[-1], de[-1])
     if hi <= lo:
-        raise SystemExit("curves have no overlapping d-range")
+        raise ValueError("curves have no overlapping d-range")
     grid = np.unique(np.clip(np.concatenate((da, de)), lo, hi))
     gap = np.abs(np.interp(grid, da, va) - np.interp(grid, de, ve))
     k = int(np.argmax(gap))
@@ -221,11 +225,6 @@ def main(argv=None) -> int:
         _write_csv(args.out, header, *columns)
         _write_manifest(args, started, **extra)
         return EXIT_OK
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

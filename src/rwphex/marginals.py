@@ -19,6 +19,9 @@ step: it rounds each exact coefficient to a float once, takes the PDF as
 the derivative of the rounded CDF, and maps u to cell coordinates.  At side a,
 read from one side-1 table each, the CDF is F_1(t / a), each density
 f_1(t / a) / a and the partial leg a L_1(t / a): a subnormal a overflows.
+Each such field is a ``SideScaled``, and its argument is checked once, by
+the side-1 table against the table's domain times a
+(``PiecewisePolynomial._at``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .hexgeom import SQRT3, HexRegion
-from .piecewise import DomainError, PiecewisePolynomial, _float_array
+from .piecewise import PiecewisePolynomial
 
 __all__ = [
     "AxisMarginal",
@@ -99,9 +102,10 @@ def _unit_tables(axis: str) -> dict:
 class SideScaled(NamedTuple):
     """The checked evaluator ``factor * table(t / side)`` of one quantity at one side.
 
-    ``DomainError``, a ``ValueError``, for NaN or an argument outside ``domain``,
-    which like ``breakpoints`` is the side-1 table's times the side, and
-    ``ValueError`` for text.
+    The table checks the argument, once (``PiecewisePolynomial._at``):
+    ``DomainError``, a ``ValueError``, for NaN or an argument outside
+    ``domain``, which like ``breakpoints`` is the side-1 table's times the
+    side, and ``ValueError`` for text.
     """
 
     table: PiecewisePolynomial
@@ -117,15 +121,7 @@ class SideScaled(NamedTuple):
         return self.table.breakpoints * self.side
 
     def __call__(self, t):
-        try:
-            if isinstance(t, (float, int)):  # np.float64 among them
-                t = float(t) / self.side  # OverflowError for an int beyond the float range
-            else:
-                with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
-                    t = _float_array(t) / self.side
-            return self.table(t) * self.factor
-        except (DomainError, OverflowError):
-            raise DomainError("argument outside domain [%s, %s]" % self.domain) from None
+        return self.table._at(t, self.side) * self.factor
 
 
 @dataclass(frozen=True)

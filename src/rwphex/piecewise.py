@@ -19,15 +19,19 @@ computed.
 A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
 saves two reductions and two clamp passes per call.  It still calls
-``__call__``, where the benchmark's tracer counts table evaluations.  Text,
+``__call__``, where the benchmark's tracer counts table evaluations; a
+marginal field calls ``_at``, which that count leaves out.  Text,
 complex numbers and ``None`` are refused with ``ValueError`` rather than
 parsed, cut to their real part or read as NaN, and an int beyond the float
 range with ``DomainError``; the Python-float branch pays nothing for those
 checks.
 
 The coefficients are floats: ``marginals._unit_tables`` rounds each exact
-coefficient once when it builds a side-1 table.  No table is rescaled: the
-marginals read their side-1 tables at t / side (``marginals.SideScaled``).
+coefficient once when it builds a side-1 table.  No table is rescaled: an
+``AxisMarginal`` field at side a reads its side-1 table through
+``_at(t, a)``, which converts t, divides it by a, checks t / a against the
+domain and names the domain times a in its ``DomainError``.  That is the
+one check of a field's argument; ``__call__`` is ``_at`` at side 1.
 """
 
 from __future__ import annotations
@@ -108,22 +112,28 @@ class PiecewisePolynomial:
         """
         if _clamped:
             return self._horner(t)
+        return self._at(t, 1.0)
+
+    def _at(self, t, side):
+        """Values at ``t / side``; DomainError, naming the domain times ``side``,
+        for NaN or a ``t / side`` outside the domain."""
+        lo, hi, tol = self._lo, self._hi, self._tol
         if not isinstance(t, (float, int)):
             t = _float_array(t)
             if t.ndim:
-                lo, hi, tol = self._lo, self._hi, self._tol
+                with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
+                    t = t / side
                 # min and max propagate NaN, which fails both comparisons
                 if t.size and not (t.min() >= lo - tol and t.max() <= hi + tol):
-                    raise DomainError(f"argument outside domain [{lo}, {hi}]")
+                    raise DomainError(f"argument outside domain [{lo * side}, {hi * side}]")
                 # np.clip's order, so that a tie keeps the argument's zero sign
                 return self._horner(np.minimum(hi, np.maximum(lo, t)))
-        lo, hi, tol = self._lo, self._hi, self._tol
         try:
-            t = float(t)
+            t = float(t) / side
         except OverflowError:  # an int beyond the float range fails the check below
             t = math.nan
         if not (lo - tol <= t <= hi + tol):
-            raise DomainError(f"argument outside domain [{lo}, {hi}]")
+            raise DomainError(f"argument outside domain [{lo * side}, {hi * side}]")
         t = min(max(t, lo), hi)
         piece = self._pieces[bisect_right(self._inner, t)]
         out = piece[0]

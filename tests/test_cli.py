@@ -337,6 +337,40 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "cannot parse" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, tmp_path, capsys, threshold):
+        # refused before either file is read: the files need not exist
+        missing = str(tmp_path / "missing.csv")
+        assert main(["compare", missing, missing, f"--threshold={threshold}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --threshold must be finite\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a two-column CSV with a 'd' column"),
+        ("d,cdf\n# a comment\n\n", "no data rows"),
+    ], ids=["empty", "comment-only"])
+    def test_table_without_rows_is_usage_error(self, tmp_path, capsys, text, message):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n1,1\n")
+        assert main(["compare", str(good), str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: {message}\n"
+
+    def test_header_only_table_prints_one_error_line(self, tmp_path):
+        # in its own process, so that a warning numpy prints would reach stderr
+        hdr = tmp_path / "hdr.csv"
+        hdr.write_text("d,cdf\n")
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n1,1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "rwphex.cli", "compare", str(good), str(hdr)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {hdr}: no data rows\n"
+
 
 def test_console_entry_point(tmp_path):
     result = subprocess.run(

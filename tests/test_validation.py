@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import rwphex as rp
 from conftest import PROPERTY
-from rwphex import marginals, piecewise
+from rwphex import piecewise
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex.piecewise import DomainError
 
@@ -179,9 +179,20 @@ def test_float64_field_takes_the_float_branch(monkeypatch, name):
 
     field = getattr(rp.axis_marginal("y", 2.0), name)
     want = field(1.25)
-    for module in (marginals, piecewise):
-        monkeypatch.setattr(module, "_float_array", refuse)
+    monkeypatch.setattr(piecewise, "_float_array", refuse)
     assert field(np.float64(1.25)) == want
+
+
+@pytest.mark.parametrize("t", [5.5, np.float64(-0.5), np.array(math.nan), np.array([1.0, 5.5])],
+                         ids=["float", "float64", "0-d", "1-d"])
+def test_field_names_its_own_domain(t):
+    # each x field at side 2.5 reads its side-1 table at t / 2.5, and the
+    # one check of t names the field's own domain, not the table's [0, 2]
+    m = rp.axis_marginal("x", 2.5)
+    for name in FIELDS:
+        with pytest.raises(DomainError) as info:
+            getattr(m, name)(t)
+        assert str(info.value) == "argument outside domain [0.0, 5.0]"
 
 
 @PROPERTY

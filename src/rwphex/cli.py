@@ -113,6 +113,20 @@ def cmd_baseline(args):
     return ("d", "ecdf"), _ecdf_rows(dists), {}
 
 
+def _ragged_line(path):
+    """The first data line of ``path`` without two columns, in the CLI's words; None if none.
+
+    Lines count from 1, the header's, and blank and ``#`` comment lines are
+    skipped as ``np.loadtxt`` skips them.
+    """
+    with open(path, errors="replace") as fh:
+        for n, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].strip()
+            if n > 1 and fields and fields.count(",") != 1:
+                return f"{path}: line {n}: expected 2 columns, found {fields.count(',') + 1}"
+    return None
+
+
 def _read_curve(path):
     try:
         with open(path) as fh:
@@ -121,8 +135,11 @@ def _read_curve(path):
             # a table without rows is refused below, in the CLI's own words
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
+    except ValueError as exc:
+        # numpy's message for a ragged table names an option of its own
+        raise ValueError(_ragged_line(path) or f"cannot parse {path}: {exc}") from exc
     if len(header) != 2 or (data.size and data.shape[1] != 2) or header[0] != "d":
         raise ValueError(f"{path}: expected a two-column CSV with a 'd' column")
     if not data.size:

@@ -15,10 +15,21 @@ level, with no tolerance to choose.
 A cut that does not exist at a given d collapses onto the interval's end,
 so most of the intervals between sorted cuts have zero width.  The rule is
 applied only to the intervals of nonzero width, gathered from a block of up
-to 256 d values into one flat list that remembers each interval's d; the
-integrand runs once on all their nodes, so a 200-point curve is one call,
-and each d sums its own intervals in order.  At most 21 intervals exist per
-d, so the block size alone bounds the working set.
+to 256 d values and laid out node-major: row j of every integrand array
+holds the j-th Gauss node of each interval, one column per interval, and
+``row`` remembers each column's d.  Per-interval operands (the column's d,
+the tables' coefficients) then broadcast along rows of thousands of points
+instead of through one 16-point inner loop per interval.
+The integrand runs once on the whole array, so a 200-point curve is one
+call.  At most 21 intervals exist per d, so the block size alone bounds the
+working set, and the integrand works in place where it can to keep it small.
+
+Each column's 16 products are summed in numpy's own order for a row of 16:
+r_j = p_j + p_{j+8}, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).
+``_NODES`` holds the Gauss nodes in bit-reversed order, so every level of
+that tree adds two contiguous halves of the rows (``_panel_sum``), and an
+interval's sum does not depend on the layout.  Each d then sums its own
+intervals in order.
 
 Every quantity is scale-invariant, so ``hexgeom._unit_extremes`` checks the
 inputs and rescales them to side 1 on entry; the internals work at side 1 only.
@@ -32,7 +43,9 @@ share of the cuts (its offsets from the cut lines, and each edge's b, b**2
 and |w|**2) is computed once per call in Python floats; constant operands
 are arrays of the other operand's shape or 0-d; and ``_slice_mass``, which
 clips every argument into the tables' domains, reads the tables with
-``_clamped=True``, which skips their domain check and clamp.
+``_clamped=True``, which skips their domain check and clamp.  That read
+still goes through ``PiecewisePolynomial.__call__``, the one method the
+benchmark's tracer wraps to count table evaluations.
 """
 
 from __future__ import annotations
@@ -53,7 +66,10 @@ __all__ = [
     "distance_cdf_curve",
 ]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the Gauss-Legendre rule with its nodes in bit-reversed order, in which
+# _panel_sum adds them as numpy sums a row of 16
+_ORDER = [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15]
+_NODES, _WEIGHTS = (v[_ORDER] for v in np.polynomial.legendre.leggauss(16))
 _BLOCK = 256  # d values per integrand evaluation; bounds the working set
 MAX_CURVE_POINTS = 10**6  # a curve (or CLI grid) of more points is refused
 
@@ -92,13 +108,26 @@ class CdfCurve:
 def _rule(lo, hi):
     """Nodes and weights of one 16-point Gauss-Legendre panel on each [lo[i], hi[i]].
 
-    ``lo`` and ``hi`` have shape (k,); both results have shape (k, 16), one
-    row per interval, so an interval's sum does not depend on the other
-    intervals evaluated with it.
+    ``lo`` and ``hi`` have shape (k,); both results have shape (16, k), one
+    row per node in ``_NODES``' order and one column per interval, so an
+    interval's sum does not depend on the other intervals evaluated with it.
     """
-    lo, hi = lo[:, None], hi[:, None]
     half = _HALF * (hi - lo)
-    return _HALF * (lo + hi) + half * _NODES, half * _WEIGHTS
+    return _HALF * (lo + hi) + half * _NODES[:, None], half * _WEIGHTS[:, None]
+
+
+def _panel_sum(p):
+    """Each column's sum of a (16, k) ``p`` in ``_NODES``' order.
+
+    Every step adds the two halves of the rows, which in that order is
+    numpy's own sum of one row of 16.  Another node count, such as a test's
+    finer rule, halves while it can and sums the rest.
+    """
+    n = len(p)
+    while n % 2 == 0:
+        n //= 2
+        p = p[:n] + p[n:]
+    return p[0] if n == 1 else p.sum(axis=0)
 
 
 def _clip(v, lo, hi):
@@ -106,20 +135,39 @@ def _clip(v, lo, hi):
     return np.minimum(hi, np.maximum(lo, v))
 
 
+def _slice_ends(x, ylo, yhi):
+    """Each slice's end and start, stacked: [ye, ys] of [ylo, yhi] intersected with the cell.
+
+    Both are clipped to the y-CDF's domain [0, sqrt(3)], and an empty slice
+    ends where it starts, so that its mass F(ys) - F(ys) is 0.
+    """
+    # the cell's lower edge over x; its upper edge is sqrt(3) - cell_lo
+    cell_lo = _HALF - x
+    np.maximum(cell_lo, x - _THREE_HALVES, out=cell_lo)
+    np.maximum(_ZERO, cell_lo, out=cell_lo)
+    cell_lo *= _ROOT3
+    ends = np.empty((2,) + x.shape)
+    ye, ys = ends[0], ends[1]
+    np.maximum(ylo, cell_lo, out=ys)
+    np.subtract(_ROOT3, cell_lo, out=ye)
+    np.minimum(yhi, ye, out=ye)
+    np.maximum(ye, ys, out=ye)
+    np.maximum(_ZERO, ends, out=ends)
+    return np.minimum(_ROOT3, ends, out=ends)
+
+
 def _slice_mass(x, ylo, yhi):
     """f_X(x) times the f_Y mass of the slice [ylo, yhi] intersected with the cell.
 
-    ``x`` lies in [0, 2] and the y-CDF's arguments are clipped to [0, sqrt(3)],
-    so both tables are read without their domain check.
+    ``x`` has one column per interval and lies in [0, 2], and the slice ends
+    are clipped, so both tables are read without their domain check.  The
+    y-CDF is read once, on both ends; each column is still one interval.
     """
-    cell_lo = _ROOT3 * np.maximum(_ZERO, np.maximum(_HALF - x, x - _THREE_HALVES))
-    ys = np.maximum(ylo, cell_lo)
-    ye = np.minimum(yhi, _ROOT3 - cell_lo)
-    # one y-CDF call on both ends
-    F = _unit_tables("y")["stationary_cdf"](_clip(np.concatenate((ye, ys)), _ZERO, _ROOT3),
-                                            _clamped=True)
-    w = F[:len(ye)] - F[len(ye):]
-    return _unit_tables("x")["stationary_pdf"](x, _clamped=True) * np.where(ye > ys, w, 0.0)
+    F = _unit_tables("y")["stationary_cdf"](_slice_ends(x, ylo, yhi), _clamped=True)
+    F[0] -= F[1]
+    mass = _unit_tables("x")["stationary_pdf"](x, _clamped=True)
+    mass *= F[0]
+    return mass
 
 
 @cache
@@ -130,7 +178,8 @@ def _hexagon_mass() -> float:
     which the rule integrates exactly.
     """
     x, w = _rule(_X_LINES[:-1], _X_LINES[1:])
-    return float(w.ravel() @ _slice_mass(x.ravel(), -np.inf, np.inf))
+    w *= _slice_mass(x, -np.inf, np.inf)
+    return float(_panel_sum(w).sum())
 
 
 def _disk_mass(x1: float, y1: float, d):
@@ -172,11 +221,21 @@ def _disk_mass(x1: float, y1: float, d):
     wide = hi > lo
     theta, weight = _rule(lo[wide], hi[wide])
     row = np.nonzero(wide)[0]
-    dr = d[row]
-    c = dr * np.cos(theta)
-    x = _clip(x1 + dr * np.sin(theta), _ZERO, _TWO)
-    per_interval = (weight * c * _slice_mass(x, y1 - c, y1 + c)).sum(axis=-1)
-    return np.bincount(row, weights=per_interval, minlength=len(d))
+    dr = d[row, 0]
+    # in place where the operands allow, which keeps the working set small:
+    # x takes theta's buffer, and the slice's upper end y1 + c takes c's
+    c = np.cos(theta)
+    c *= dr
+    x = np.sin(theta, out=theta)
+    x *= dr
+    x += x1
+    np.maximum(_ZERO, x, out=x)
+    np.minimum(_TWO, x, out=x)
+    weight *= c
+    ylo = y1 - c
+    yhi = np.add(c, y1, out=c)
+    weight *= _slice_mass(x, ylo, yhi)
+    return np.bincount(row, weights=_panel_sum(weight), minlength=len(d))
 
 
 def _cdf(x1: float, y1: float, d, d_min: float, d_max: float):

@@ -10,11 +10,22 @@ breakpoints finds its piece, and Horner runs over that piece's
 coefficients.  An array argument is evaluated as a whole, in two steps: the
 domain check and clamp, then ``_horner``.  There a point's piece index
 counts the interior breakpoints at or below it, one comparison per
-breakpoint, and Horner runs on the gathered columns of the coefficient
-table.  Both run Horner in ``polyval``'s order
-(acc = acc * t + c_k, from the top power), so every value equals
-``npoly.polyval`` on its own piece bit for bit, whichever way it was
-computed.
+breakpoint, and Horner runs on the coefficients gathered for it.  Both run
+Horner in ``polyval``'s order (acc = acc * t + c_k, from the top power), so
+every value equals ``npoly.polyval`` on its own piece bit for bit,
+whichever way it was computed.
+
+The distance integrand passes its quadrature nodes node-major: the last two
+axes of its argument are one row per Gauss node and one column per cut
+interval, and each interval lies inside one piece of each table.  When
+every column's points do share a piece and the argument holds at least
+``_BY_COLUMN_MIN`` points, ``_horner`` gathers one coefficient per power and
+column, (degree + 1, k) instead of (degree + 1, 16 k), and broadcasts it
+down the column; below that size a gather per point costs less than the
+broadcasts.  The piece is still each point's own, found by the same
+comparisons, so both gathers give the same bytes.  Reading a column's piece
+at one node alone would not: where the disk cuts a lens thinner than about
+1e-12 from the cell, a node's x or slice end can round across a breakpoint.
 
 A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
@@ -42,6 +53,12 @@ from bisect import bisect_right
 import numpy as np
 
 __all__ = ["PiecewisePolynomial", "DomainError"]
+
+# Below this many points a node-major argument gathers coefficients per
+# point: a broadcast operand costs numpy an iterator per call, which on a few
+# hundred points outweighs the smaller gather.  On the integrand's two tables
+# the two gathers cost the same at about 1,500 to 2,000 points.
+_BY_COLUMN_MIN = 2048
 
 
 class DomainError(ValueError):
@@ -142,7 +159,13 @@ class PiecewisePolynomial:
         return out
 
     def _horner(self, t):
-        """Values at a float array ``t`` inside the domain, which is not checked."""
+        """Values at a float array ``t`` inside the domain, which is not checked.
+
+        When ``t`` has two axes or more, its last two are nodes and
+        intervals: a large one whose every column lies inside one piece
+        gathers one set of coefficients per column, which broadcasts down the
+        column.
+        """
         # a point's piece is the number of interior breakpoints at or below
         # it, which clamps the index to the first and last piece; exact for
         # every non-NaN t
@@ -150,11 +173,17 @@ class PiecewisePolynomial:
         idx = (t >= first).astype(np.intp)
         for b in rest:
             idx += t >= b
+        if t.ndim > 1 and t.size >= _BY_COLUMN_MIN:
+            column = idx[..., :1, :]
+            if (idx == column).all():
+                idx = column
         coeffs = self._table.take(idx, axis=1)
-        # the top row starts Horner as 0 * t + c_top would; a copy, so that
-        # the gathered columns are freed before the caller's next call
-        out = coeffs[-1].copy()
-        for c in coeffs[-2::-1]:
-            out *= t
+        if len(coeffs) == 1:
+            return np.broadcast_to(coeffs[0], t.shape).copy()
+        # c_top * t is where polyval's 0 * t + c_top, times t, arrives
+        out = coeffs[-1] * t
+        for c in coeffs[-2:0:-1]:
             out += c
+            out *= t
+        out += coeffs[0]
         return out

@@ -371,6 +371,21 @@ class TestCompareCommand:
         assert result.returncode == 2
         assert result.stderr == f"error: {hdr}: no data rows\n"
 
+    @pytest.mark.parametrize("row, found", [("0.5,0.5,9", 3), ("0.5", 1)], ids=["long", "short"])
+    def test_ragged_table_names_its_line(self, tmp_path, row, found):
+        # numpy's own message for this advises an option the CLI does not have
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"d,ecdf\n# a comment\n0,0\n{row}\n1,1\n")
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n1,1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "rwphex.cli", "compare", str(good), str(bad)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {bad}: line 4: expected 2 columns, found {found}\n"
+        assert "usecols" not in result.stderr
+
 
 def test_console_entry_point(tmp_path):
     result = subprocess.run(

@@ -260,6 +260,37 @@ def test_headline_curves_are_pinned():
     assert h.hexdigest() == "e871b6325957987c3feaa384b32fc1fef02f4549da118d623a68827bfee399ca"
 
 
+def _sweep_nodes():
+    """The six vertices, points 1e-13 and 1e-7 off each along both diagonals,
+    and 40 seeded nodes in [-3, 5]^2."""
+    rng = np.random.default_rng(2021)
+    nodes = []
+    for v in HexRegion(1.0).vertices():
+        nodes.append((v.x, v.y))
+        for e in (1e-13, 1e-7):
+            nodes += [(v.x + sx * e, v.y + sy * e) for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return nodes + [tuple(p) for p in rng.uniform(-3.0, 5.0, (40, 2))]
+
+
+def test_node_sweep_is_pinned():
+    # SHA-256 of a 97-point curve and seven scalar queries per node, at sides 1
+    # and 2.5.  Three queries lie just above d_min, where the disk cuts a
+    # lens thinner than 1e-12 from a vertex or an edge: there x or a slice end
+    # can round across a table breakpoint inside one cut interval, and a
+    # piece read for the interval instead of the point moves the value.
+    h = hashlib.sha256()
+    for side in (1.0, 2.5):
+        for x, y in _sweep_nodes():
+            ref = RefNode(Point2(x * side, y * side))
+            curve = rp.distance_cdf_curve(ref, side, 97)
+            d_min = float(curve.d_values[0])
+            ds = [*curve.d_values[5::23], np.nextafter(d_min, np.inf), d_min * (1 + 1e-15),
+                  d_min * (1 + 1e-12)]
+            h.update(curve.cdf_values.tobytes())
+            h.update(np.array([rp.distance_cdf(ref, side, float(d)) for d in ds]).tobytes())
+    assert h.hexdigest() == "24c052cd90a4c310a57047b511962810b8c0dade2d83f96eabd0e4782081535c"
+
+
 class TestQuadOracle:
     @pytest.mark.parametrize("name", PAPER_NODES)
     def test_matches_nested_quad(self, name):

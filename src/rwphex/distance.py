@@ -31,8 +31,11 @@ that tree adds two contiguous halves of the rows (``_panel_sum``), and an
 interval's sum does not depend on the layout.  Each d then sums its own
 intervals in order.
 
-Every quantity is scale-invariant, so ``hexgeom._unit_extremes`` checks the
-inputs and rescales them to side 1 on entry; the internals work at side 1 only.
+Every quantity is scale-invariant.  On entry ``hexgeom._real`` and
+``hexgeom._side`` turn d and the side into checked floats, the ``RefNode``
+holds checked float coordinates, and ``hexgeom._unit_extremes`` rescales the
+node to side 1 and checks that the cell is within its reach; the internals
+work at side 1, on those floats only.
 
 A scalar ``distance_cdf`` is answered by the same integrand as a curve, on a
 one-element array, without ``_cdf``'s block bookkeeping: it decides
@@ -56,7 +59,7 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _real, _unit_extremes
+from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _real, _side, _unit_extremes
 from .marginals import _U_BREAKS, _X_BREAKS, _unit_tables
 
 __all__ = [
@@ -250,16 +253,17 @@ def _cdf(x1: float, y1: float, d, d_min: float, d_max: float):
 
 def product_mass_hexagon(ref: RefNode, a: float) -> float:
     """Mass of f_X * f_Y on the hexagon: one constant for every ref and side."""
-    _unit_extremes(ref, a)
+    _unit_extremes(ref, _side(a))
     return _hexagon_mass()
 
 
 def distance_cdf(ref: RefNode, a: float, d: float) -> float:
     """P(distance to ref < d) for the stationary mobile node."""
-    if not 0 <= _real(d, "d") < math.inf:
-        raise ValueError("d must be nonnegative and finite")
+    d, a = _real(d, "d"), _side(a)
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     (x1, y1), d_min, d_max = _unit_extremes(ref, a)
-    d = float(d / a)
+    d /= a
     if d >= d_max:
         return 1.0
     if d <= d_min:
@@ -273,9 +277,9 @@ def distance_cdf(ref: RefNode, a: float, d: float) -> float:
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
     n_points = _count(n_points, "n_points", 2, MAX_CURVE_POINTS)
-    (x1, y1), d_min, d_max = _unit_extremes(ref, a)
+    (x1, y1), d_min, d_max = _unit_extremes(ref, a := _side(a))
     if not math.isfinite(a * d_max):
-        raise ValueError("the largest distance overflows at this side")
+        raise ValueError("reference node is too far from a cell of this side")
     grid = np.linspace(d_min, d_max, n_points)
     return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid, d_min, d_max),
                     ref=ref, side=a)

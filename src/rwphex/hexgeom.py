@@ -7,6 +7,11 @@ bottom between x = a/2 and x = 3a/2.
 Distances from a node to the cell are computed at side 1, on the node
 divided by the side, so they work at any side; every check in the library
 that a node is within reach of the cell starts from ``_unit_extremes``.
+
+A single real input of the library (a side, a node coordinate, a distance,
+a simulation's speeds and times) is checked once, by ``_real``, which
+applies ``piecewise._float_array``'s rule to one value; its owner keeps the
+finite Python float that passed and computes only with it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .piecewise import _float_array
 
 SQRT3 = math.sqrt(3.0)
 
@@ -37,17 +44,27 @@ def _count(value, name: str, least: int, most: float = math.inf) -> int:
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; ValueError for text, which ``float`` would parse, or a non-number."""
-    if type(value) is float:  # the common case, returned as ``float`` would
-        return value
-    if isinstance(value, (str, bytes)):
-        raise ValueError(f"{name} must be a number, not text")
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a real number") from None
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{name} must be finite") from None
+    """``value`` as a finite Python float; ValueError unless it is one real
+    number by ``piecewise._float_array``'s rule, and finite."""
+    if type(value) is not float:  # a float, the common case, needs no numpy
+        try:
+            value = _float_array(value)
+        except ValueError:  # DomainError too: an int beyond the float range
+            raise ValueError(f"{name} must be a finite real number") from None
+        if value.ndim:
+            raise ValueError(f"{name} must be one real number")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _side(value) -> float:
+    """``value`` as a cell side: a positive finite float, or ValueError."""
+    side = _real(value, "side")
+    if not side > 0:
+        raise ValueError("side must be positive")
+    return side
 
 
 class Point2(NamedTuple):
@@ -57,14 +74,16 @@ class Point2(NamedTuple):
 
 @dataclass(frozen=True)
 class RefNode:
-    """Fixed reference node; may lie inside or outside the hexagon."""
+    """Fixed reference node; may lie inside or outside the hexagon.
+
+    ``pos`` holds the coordinates as checked: a ``Point2`` of finite floats.
+    """
 
     pos: Point2
 
     def __post_init__(self):
-        for v in self.pos:
-            if not math.isfinite(_real(v, "reference node coordinate")):
-                raise ValueError("reference node coordinates must be finite")
+        x, y = (_real(v, "reference node coordinate") for v in self.pos)
+        object.__setattr__(self, "pos", Point2(x, y))
 
 
 def _segment_distance(px, py, ax, ay, bx, by):
@@ -76,14 +95,14 @@ def _segment_distance(px, py, ax, ay, bx, by):
 
 @dataclass(frozen=True)
 class HexRegion:
+    """The cell of side ``side``, kept as the positive finite float it was checked as."""
+
     side: float
 
     def __post_init__(self):
-        side = _real(self.side, "side")
-        if not (side > 0 and math.isfinite(side)):
-            raise ValueError("side must be positive and finite")
+        object.__setattr__(self, "side", _side(self.side))
         # the vertices compute 3a, and contains_mask nothing larger on the bounding box
-        if not math.isfinite(3 * side):
+        if not math.isfinite(3 * self.side):
             raise ValueError("side is too large: the cell's coordinates overflow")
 
     @property
@@ -157,11 +176,9 @@ _UNIT_EDGES = [a + b for a, b in zip(_UNIT_VERTS, _UNIT_VERTS[1:] + _UNIT_VERTS[
 def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
     """The node at side 1 and its (d_min, d_max) there; ValueError if d_max overflows.
 
-    At side 1 each squared edge length is 1, and nothing overflows unless d_max does.
+    ``a`` is a side that ``_side`` returned.  At side 1 each squared edge
+    length is within one ulp of 1, and nothing overflows unless d_max does.
     """
-    a = _real(a, "side")
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("side must be positive and finite")
     px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)
     d_max = max([math.hypot(px - vx, py - vy) for vx, vy in _UNIT_VERTS])
     if not math.isfinite(d_max):

@@ -141,7 +141,7 @@ def axis_marginal(axis: str, side: float) -> AxisMarginal:
     """ValueError for a side that ``HexRegion`` refuses, or a subnormal one."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    side = float(HexRegion(side).side)
+    side = HexRegion(side).side
     inverse = 1.0 / side
     if not math.isfinite(inverse):
         raise ValueError("side is too small: the densities overflow")

@@ -31,11 +31,11 @@ A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
 saves two reductions and two clamp passes per call.  It still calls
 ``__call__``, where the benchmark's tracer counts table evaluations; a
-marginal field calls ``_at``, which that count leaves out.  Text,
-complex numbers and ``None`` are refused with ``ValueError`` rather than
-parsed, cut to their real part or read as NaN, and an int beyond the float
-range with ``DomainError``; the Python-float branch pays nothing for those
-checks.
+marginal field calls ``_at``, which that count leaves out.  Any other
+argument must be real by ``_float_array``'s rule, the one the whole library
+applies: a bool, int or float dtype, or ``numbers.Real`` objects.  Anything
+else raises ``ValueError``, and an int beyond the float range
+``DomainError``; the Python-float branch pays nothing for those checks.
 
 The coefficients are floats: ``marginals._unit_tables`` rounds each exact
 coefficient once when it builds a side-1 table.  No table is rescaled: an
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from numbers import Real
 
 import numpy as np
 
@@ -66,14 +67,18 @@ class DomainError(ValueError):
 
 
 def _float_array(t):
-    """``t`` as a float array; ValueError for text, which numpy would parse,
-    for complex numbers, whose imaginary part it would drop, and for
-    ``None``, which it would turn into NaN; DomainError for an int beyond
-    the float range."""
+    """``t`` as a float array; ValueError unless it is real, DomainError for an
+    int beyond the float range.
+
+    This is the library's one definition of a real number: an array of a
+    bool, int or float dtype, or an object array whose every element is a
+    ``numbers.Real``.  Text, which numpy would parse, complex numbers, whose
+    imaginary part it would drop, ``None``, which it would read as NaN, and
+    ``Decimal`` are refused.
+    """
     t = np.asarray(t)
     kind = t.dtype.kind
-    if kind not in "biufO" or (
-            kind == "O" and any(isinstance(v, (str, bytes, complex, type(None))) for v in t.flat)):
+    if not (kind in "biuf" or kind == "O" and all(isinstance(v, Real) for v in t.flat)):
         raise ValueError("argument must be a real number or an array of real numbers")
     try:
         return t.astype(float, copy=False)

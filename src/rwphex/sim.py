@@ -65,6 +65,8 @@ SAMPLE_BLOCK = 1 << 15  # samples per block of the distance and KS passes: 256 K
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation's inputs; each float field holds the float it was checked as."""
+
     side: float
     v_min: float
     v_max: float
@@ -73,11 +75,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("side", "v_min", "v_max", "duration", "sample_interval"):
-            if not math.isfinite(_real(getattr(self, name), name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.side > 0:
-            raise ValueError("side must be positive")
+        # HexRegion checks the side
+        object.__setattr__(self, "side", HexRegion(self.side).side)
+        for name in ("v_min", "v_max", "duration", "sample_interval"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (0 < self.v_min <= self.v_max):
             raise ValueError("need 0 < v_min <= v_max")
         if not self.sample_interval > 0:

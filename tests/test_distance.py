@@ -351,6 +351,11 @@ class TestNonFiniteInput:
         assert rp.distance_cdf(ref, 1e300, 1.0) == 0.0
         assert rp.product_mass_hexagon(ref, 1e300) == rp.product_mass_hexagon(ORIGIN, 1.0)
 
+    def test_curve_beyond_reach_says_too_far(self):
+        # a * d_max overflows: the message is the one distance_extremes gives
+        with pytest.raises(ValueError, match="too far"):
+            rp.distance_cdf_curve(ORIGIN, 1e308, 5)
+
     def test_tiny_scale_returns(self):
         got = float(run_bounded("rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1e-200, 1e-200)"))
         assert got == pytest.approx(rp.distance_cdf(ORIGIN, 1.0, 1.0), abs=1e-12)

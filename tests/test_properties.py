@@ -2,15 +2,25 @@
 wall-clock budget, or raises ``ValueError``, whatever it is given.
 
 The inputs mix finite, NaN, infinite, non-integer and extreme numbers
-(±1e308, 5e-324, an int beyond the float range) with text, complex numbers
-and ``None``.  Caps are monkeypatched down, so no call asks for a large
-allocation; ``simulate``, whose leg loop is the one loop that depends on
-its inputs, runs in a fresh interpreter under a timeout.
+(±1e308, 5e-324, an int beyond the float range) with text, complex numbers,
+``None`` and ``Decimal``, as Python objects and as numpy scalars and 0-d
+arrays; each entry meets every numpy non-number in an explicit example.
+Caps are monkeypatched down, so no call asks for a large allocation.
+
+Two loops run as long as their inputs make them: ``simulate``'s leg loop,
+and ``HexRegion.sample_uniform_batch``'s acceptance loop, which both
+``simulate`` and ``uniform_node_distances`` enter.  The acceptance loop
+ends because a side that ``HexRegion`` accepts is a positive finite float,
+and at every such side the cell fills about 3/4 of its bounding box:
+0.749 to 0.752 of 4 * 10**5 draws at sides 5e-324, 1e-320, 1e-310,
+2.2e-308 and 1e-300.  Both loops run in a fresh interpreter under a
+timeout.
 """
 
 import math
 import os
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,12 +35,27 @@ from rwphex.hexgeom import HexRegion, Point2, RefNode
 BUDGET_S = 2.0  # per call; every call below takes milliseconds
 EXTREME = (0.0, -0.0, 0.5, 2.5, -1.0, 1e308, -1e308, 5e-324, 1e-300,
            10**400, -10**400, math.nan, math.inf, -math.inf)
-NOT_NUMBERS = ("0.5", b"1", 1j, 0.5 + 0j, None, [0.5])
+# numpy's text, bytes and complex numbers, as scalars and 0-d arrays, an object
+# array of text, and a Decimal, which is no numbers.Real
+NUMPY_NOT_NUMBERS = (np.array("0.5"), np.bytes_(b"1"), np.complex128(0.5 + 1j),
+                     np.array(0.5 + 0j), np.array("0.5", dtype=object), Decimal("1.5"))
+NOT_NUMBERS = ("0.5", b"1", 1j, 0.5 + 0j, None, [0.5]) + NUMPY_NOT_NUMBERS
 
 numbers = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(EXTREME))
 anything = st.one_of(numbers, st.sampled_from(NOT_NUMBERS))
 coords = st.floats(-3.0, 5.0)
 sides = st.one_of(st.floats(1e-3, 1e3), st.sampled_from((1e-300, 1e300, 5e307)))
+
+
+def with_non_numbers(name, base, **fixed):
+    """Explicit examples: argument ``name`` set to each numpy non-number, or,
+    when ``base`` is a dict of inputs, ``base`` with each key set to each in turn."""
+    def decorate(test):
+        for bad in NUMPY_NOT_NUMBERS:
+            for arg in ([{**base, key: bad} for key in base] if isinstance(base, dict) else [bad]):
+                test = example(**fixed, **{name: arg})(test)
+        return test
+    return decorate
 
 
 @st.composite
@@ -55,6 +80,7 @@ def _timed(fn):
 
 @PROPERTY
 @given(kw=inputs(x=coords, y=coords, side=sides, d=st.floats(0.0, 5.0)))
+@with_non_numbers("kw", dict(x=0.5, y=0.25, side=1.0, d=0.5))
 def test_distance_cdf(kw):
     value, elapsed = _timed(
         lambda: rp.distance_cdf(RefNode(Point2(kw["x"], kw["y"])), kw["side"], kw["d"]))
@@ -64,6 +90,7 @@ def test_distance_cdf(kw):
 
 @PROPERTY
 @given(kw=inputs(x=coords, y=coords, side=sides, n_points=st.integers(-2, 80)))
+@with_non_numbers("kw", dict(x=0.5, y=0.25, side=1.0, n_points=5))
 def test_distance_cdf_curve(kw):
     n_points = kw["n_points"]
     with pytest.MonkeyPatch.context() as mp:
@@ -84,6 +111,8 @@ def test_distance_cdf_curve(kw):
                          st.lists(numbers, max_size=20), st.lists(anything, max_size=4),
                          anything),
        d=st.one_of(st.floats(-1e308, 1e308), anything, st.lists(numbers, max_size=5)))
+@with_non_numbers("samples", [0.5, 1.0], d=0.5)
+@with_non_numbers("d", 0.5, samples=[0.5, 1.0])
 def test_ecdf(samples, d):
     emp, elapsed = _timed(lambda: rp.ecdf(samples))
     assert elapsed < BUDGET_S
@@ -99,6 +128,7 @@ def test_ecdf(samples, d):
 @given(samples=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50),
        out=st.one_of(anything, st.lists(numbers, min_size=1, max_size=60),
                      st.just("samples")))
+@with_non_numbers("out", 0.5, samples=[0.5, 1.0])
 def test_ks_statistic(samples, out):
     emp = rp.ecdf(samples)
     # "samples" stands for a model that maps each sample to itself clipped into [0, 1]
@@ -120,6 +150,8 @@ def test_ks_statistic(samples, out):
 # the slowest speed at the largest sides: a leg's time, and so the clock, overflows
 @example(kw=dict(side=5e307, v_min=5e-324, v_max=1.0, duration=100.0, sample_interval=1.0,
                  seed=1))
+@with_non_numbers("kw", dict(side=1.0, v_min=0.01, v_max=0.05, duration=10.0,
+                             sample_interval=1.0, seed=1))
 def _simulate_property(kw):
     """``SimConfig`` then ``simulate``; run by ``test_simulate`` with the caps lowered."""
     trace, elapsed = _timed(lambda: sim.simulate(sim.SimConfig(**kw)))
@@ -145,3 +177,27 @@ test_properties._simulate_property()
 print("ok")
 """
     assert run_fresh(code, timeout=120) == "ok"
+
+
+def test_complex_side_is_refused_without_a_hang():
+    # a cell that kept a complex side would accept no point, and the sampler
+    # would never return.  Warnings are ignored, so that numpy's
+    # ComplexWarning, which the suite turns into an error, cannot stand in for
+    # the refusal
+    code = """
+import warnings
+warnings.simplefilter("ignore")
+import numpy as np
+import rwphex as rp
+from rwphex.hexgeom import HexRegion, Point2, RefNode
+side = np.complex128(1 + 1j)
+calls = [lambda: rp.simulate(rp.SimConfig(side=side, v_min=0.01, v_max=0.05, duration=10)),
+         lambda: rp.uniform_node_distances(HexRegion(side), RefNode(Point2(0.0, 0.0)), 10,
+                                           np.random.default_rng(0))]
+for call in calls:
+    try:
+        call()
+    except ValueError:
+        print("ValueError")
+"""
+    assert run_fresh(code, timeout=20).split() == ["ValueError", "ValueError"]

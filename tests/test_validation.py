@@ -8,6 +8,8 @@ of repeating them.
 import hashlib
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,3 +250,62 @@ def test_kept_wrappers_are_bit_identical():
               for side in (0.5, 1.0, 2.0, 10.0) for c in probes[axis]]
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
     assert digest == "2436e628d6e9f9fd42ba429acdc0ce5d57b8f43af27c90fc7fd6f8cbe61b3fc7"
+
+
+# numpy's text and complex numbers and a Decimal, which no entry refused
+# before: they were kept and computed with, cut to a real part or left to a
+# TypeError.  Each is no real number by piecewise._float_array's rule.
+@pytest.mark.parametrize("call", [
+    lambda: rp.distance_cdf(RefNode(Point2(0.5, 0.25)), 1.0, np.complex128(0.5 + 2j)),
+    lambda: rp.axis_marginal("x", np.complex128(1 + 1j)),
+    lambda: rp.distance_cdf_curve(_REF, np.complex128(1 + 1j), 3),
+    lambda: HexRegion(np.array("2")),
+    lambda: RefNode(Point2(np.array("0.5"), 0.25)),
+    lambda: rp.distance_cdf(_REF, 1.0, np.array("0.5")),
+    lambda: rp.SimConfig(side=1, v_min=1, v_max=1, duration=np.array("5")),
+    lambda: rp.axis_marginal("x", 1.0).stationary_cdf(
+        np.array([np.complex64(0.5 + 1j)], dtype=object)),
+    lambda: HexRegion(Decimal("1.5")),
+    lambda: rp.axis_marginal("y", Decimal("1.5")),
+    lambda: rp.distance_cdf(_REF, Decimal("1.5"), 0.5),
+    lambda: RefNode(Point2(Decimal("0.5"), 0.25)),
+    lambda: rp.SimConfig(side=Decimal("1.5"), v_min=1, v_max=1, duration=5),
+], ids=["cdf-complex-d", "marginal-complex-side", "curve-complex-side", "hex-text-array",
+        "ref-text-array", "cdf-text-array-d", "config-text-array", "field-complex-object",
+        "hex-decimal", "marginal-decimal", "cdf-decimal", "ref-decimal", "config-decimal"])
+def test_numpy_non_number_or_decimal_raises(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it drops an imaginary part
+        with pytest.raises(ValueError, match="real number"):
+            call()
+
+
+def test_real_objects_are_numbers():
+    # an object array is real when each element is a numbers.Real
+    field = rp.axis_marginal("x", 1.0).stationary_cdf
+    got = field(np.array([Fraction(1, 2), 1, True], dtype=object))
+    assert got.tobytes() == field(np.array([0.5, 1.0, 1.0])).tobytes()
+
+
+def test_checked_values_are_floats():
+    ref = RefNode(Point2(1, np.float32(0.25)))
+    assert ref.pos == (1.0, 0.25) and all(type(v) is float for v in ref.pos)
+    assert type(HexRegion(2).side) is float
+    config = rp.SimConfig(side=1, v_min=np.float32(0.5), v_max=1, duration=np.int64(5),
+                          sample_interval=Fraction(1, 2))
+    for name in ("side", "v_min", "v_max", "duration", "sample_interval"):
+        assert type(getattr(config, name)) is float
+    assert type(rp.distance_cdf_curve(_REF, np.float32(1.3), 5).side) is float
+
+
+def test_results_follow_from_the_checked_float():
+    # a float32 side is the float it converts to: d / a no longer runs in float32
+    ref = RefNode(Point2(0.5, 0.25))
+    side = np.float32(1.3)
+    assert rp.distance_cdf(ref, side, 0.5) == rp.distance_cdf(ref, float(side), 0.5)
+    # a Fraction gives the bits of the float it rounds to
+    assert rp.distance_cdf(ref, Fraction(3, 2), Fraction(1, 2)) == rp.distance_cdf(ref, 1.5, 0.5)
+    got, want = rp.distance_cdf_curve(ref, Fraction(3, 2), 7), rp.distance_cdf_curve(ref, 1.5, 7)
+    assert got.side == want.side
+    for name in ("d_values", "cdf_values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

@@ -59,7 +59,7 @@ from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT_VERTS, RefNode, _count, _real, _side, _unit_extremes
+from .hexgeom import SQRT3, _UNIT_EDGES, RefNode, _count, _real, _side, _unit_extremes
 from .marginals import _U_BREAKS, _X_BREAKS, _unit_tables
 
 __all__ = [
@@ -81,23 +81,22 @@ MAX_CURVE_POINTS = 10**6  # a curve (or CLI grid) of more points is refused
 _ZERO, _HALF, _ONE, _THREE_HALVES, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 1.5, 2.0))
 _MINUS_ONE, _ROOT3 = np.array(-1.0), np.array(SQRT3)
 
-_VERTS = np.array(_UNIT_VERTS)
-_EDGES = np.roll(_VERTS, -1, axis=0) - _VERTS
-# each edge's squared length, then it and the edge's step in x once for each
-# of its two circle crossings, as rows: numpy takes its fast path when both
-# operands have one shape, as they do for a single d
+# the step of each of hexgeom's edges; then each edge's squared length, and it
+# and the edge's step in x once for each of its two circle crossings, as rows:
+# numpy takes its fast path when both operands have one shape, as they do for
+# a single d
+_EDGES = np.array(_UNIT_EDGES)[:, 2:]
 _EDGE_LEN2 = (_EDGES * _EDGES).sum(axis=1)[None]
 _CROSSING_LEN2 = np.tile(_EDGE_LEN2, 2)
 _CROSSING_DX = np.tile(_EDGES[:, 0], 2)[None]
-# cell ends and x-marginal breakpoints; lines where the y-marginal or the
-# slice bounds change piece
+# cell ends and x-marginal breakpoints
 _X_LINES = np.array(_X_BREAKS, dtype=float)
-_Y_LINES = np.array(_U_BREAKS, dtype=float) * SQRT3
-# the node's share of the cuts starts from these Python floats
-_VERT_EDGE = list(zip(_VERTS.tolist(), _EDGES.tolist()))
+# the node's share of the cuts starts from these Python floats: those lines,
+# the lines where the y-marginal or the slice bounds change piece, and each
+# edge's start in x, once for each of its two crossings
 _X_LINE_LIST = _X_LINES.tolist()
-_Y_LINE_LIST = _Y_LINES.tolist()
-_EDGE_X0_LIST = np.tile(_VERTS[:, 0], 2).tolist()
+_Y_LINE_LIST = [float(u) * SQRT3 for u in _U_BREAKS]
+_EDGE_X0_LIST = [ax for ax, _, _, _ in _UNIT_EDGES] * 2
 
 
 @dataclass(frozen=True)
@@ -192,9 +191,9 @@ def _disk_mass(x1: float, y1: float, d):
     # two-term sum starts at +0.0, as numpy's sum over a row does, so a zero
     # sum has numpy's sign.
     neg_b, b2, w2 = [], [], []
-    for (vx, vy), (ex, ey) in _VERT_EDGE:
-        wx, wy = vx - x1, vy - y1
-        b = 0.0 + ex * wx + ey * wy
+    for ax, ay, vx, vy in _UNIT_EDGES:
+        wx, wy = ax - x1, ay - y1
+        b = 0.0 + vx * wx + vy * wy
         neg_b.append(-b)
         b2.append(b * b)
         w2.append(0.0 + wx * wx + wy * wy)
@@ -269,9 +268,9 @@ def distance_cdf(ref: RefNode, a: float, d: float) -> float:
     if d <= d_min:
         return 0.0
     value = float(_disk_mass(x1, y1, np.array([d]))[0]) / _hexagon_mass()
-    # _clip's result: a tie keeps the value, so a -0.0 stays -0.0
-    value = 0.0 if value < 0.0 else value
-    return 1.0 if value > 1.0 else value
+    # _clip's result: max and min keep their first argument on a tie, so a
+    # -0.0 stays -0.0
+    return min(max(value, 0.0), 1.0)
 
 
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:

@@ -7,11 +7,17 @@ bottom between x = a/2 and x = 3a/2.
 Distances from a node to the cell are computed at side 1, on the node
 divided by the side, so they work at any side; every check in the library
 that a node is within reach of the cell starts from ``_unit_extremes``.
+``_UNIT_EDGES`` is the one statement of the unit cell's edges, each once as
+its start and its step: the nearest-edge distance here and the disk-edge
+cuts in ``distance`` both read it.
 
 A single real input of the library (a side, a node coordinate, a distance,
-a simulation's speeds and times) is checked once, by ``_real``, which
-applies ``piecewise._float_array``'s rule to one value; its owner keeps the
-finite Python float that passed and computes only with it.
+a simulation's speeds and times, a point's coordinates) is checked once, by
+``_real``, which applies ``piecewise._float_array``'s rule to one value; its
+owner keeps the finite Python float that passed and computes only with it.
+``contains_mask`` applies the same rule to its arrays.  The library's own
+points (the sampler's draws, a checked node at side 1) are floats already
+and go through ``HexRegion._inside``, the unchecked containment test.
 """
 
 from __future__ import annotations
@@ -86,8 +92,8 @@ class RefNode:
         object.__setattr__(self, "pos", Point2(x, y))
 
 
-def _segment_distance(px, py, ax, ay, bx, by):
-    vx, vy = bx - ax, by - ay
+def _segment_distance(px, py, ax, ay, vx, vy):
+    """Distance from (px, py) to the segment from (ax, ay) with step (vx, vy)."""
     t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
     t = min(1.0, max(0.0, t))
     return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
@@ -101,7 +107,7 @@ class HexRegion:
 
     def __post_init__(self):
         object.__setattr__(self, "side", _side(self.side))
-        # the vertices compute 3a, and contains_mask nothing larger on the bounding box
+        # the vertices compute 3a, and _inside nothing larger on the bounding box
         if not math.isfinite(3 * self.side):
             raise ValueError("side is too large: the cell's coordinates overflow")
 
@@ -127,11 +133,25 @@ class HexRegion:
         ]
 
     def contains(self, p: Point2) -> bool:
-        """Closed containment test; boundary points count as inside."""
-        return bool(self.contains_mask(p[0], p[1]))
+        """Closed containment test; boundary points count as inside.
+
+        ValueError unless each coordinate is a finite real number.
+        """
+        x, y = (_real(v, "point coordinate") for v in p)
+        return self._inside(x, y)
 
     def contains_mask(self, xs, ys):
-        """Closed containment of coordinate arrays, or of two floats in float arithmetic."""
+        """Closed containment of coordinate arrays; ValueError unless both are
+        real by ``_float_array``'s rule and finite."""
+        xs, ys = _float_array(xs), _float_array(ys)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("point coordinates must be finite")
+        # a point far outside overflows to an infinity, or a NaN, that reads as outside
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._inside(xs, ys)
+
+    def _inside(self, xs, ys):
+        """Closed containment of the library's own finite floats or float arrays, unchecked."""
         a = self.side
         q = SQRT3 * a
         X = xs - a
@@ -152,7 +172,7 @@ class HexRegion:
             m = max(64, int(1.4 * (n - got)))
             xs = rng.uniform(0.0, self.width, m)
             ys = rng.uniform(0.0, self.height, m)
-            keep = self.contains_mask(xs, ys)
+            keep = self._inside(xs, ys)
             pts = np.column_stack((xs[keep], ys[keep]))
             chunks.append(pts)
             got += len(pts)
@@ -169,8 +189,9 @@ class HexRegion:
 
 _UNIT = HexRegion(1.0)
 _UNIT_VERTS = _UNIT.vertices()
-# each edge of the unit cell as (ax, ay, bx, by)
-_UNIT_EDGES = [a + b for a, b in zip(_UNIT_VERTS, _UNIT_VERTS[1:] + _UNIT_VERTS[:1])]
+# each edge of the unit cell once, counterclockwise, as its start and its step (ax, ay, vx, vy)
+_UNIT_EDGES = [(ax, ay, bx - ax, by - ay)
+               for (ax, ay), (bx, by) in zip(_UNIT_VERTS, _UNIT_VERTS[1:] + _UNIT_VERTS[:1])]
 
 
 def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
@@ -183,7 +204,6 @@ def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
     d_max = max([math.hypot(px - vx, py - vy) for vx, vy in _UNIT_VERTS])
     if not math.isfinite(d_max):
         raise ValueError("reference node is too far from a cell of this side")
-    if _UNIT.contains_mask(px, py):
+    if _UNIT._inside(px, py):
         return p, 0.0, d_max
-    d_min = min([_segment_distance(px, py, *edge) for edge in _UNIT_EDGES])
-    return p, d_min, d_max
+    return p, min([_segment_distance(px, py, *edge) for edge in _UNIT_EDGES]), d_max

@@ -239,9 +239,7 @@ def ecdf(samples) -> EmpiricalCdf:
 def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
-    n = _count(n, "n", 1)
-    if n > MAX_SAMPLES:
-        raise ValueError(f"n must be at most {MAX_SAMPLES}")
+    n = _count(n, "n", 1, MAX_SAMPLES)
     # refuses an unreachable node before drawing
     _, d_max = region.distance_extremes(ref)
     pts = region.sample_uniform_batch(n, rng)

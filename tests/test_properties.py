@@ -107,6 +107,23 @@ def test_distance_cdf_curve(kw):
 
 
 @PROPERTY
+@given(x=st.one_of(coords, anything), y=st.one_of(coords, anything), side=sides)
+@with_non_numbers("x", 0.5, y=0.25, side=1.0)
+@with_non_numbers("y", 0.5, x=0.25, side=1.0)
+def test_contains(x, y, side):
+    region = HexRegion(side)
+    inside, elapsed = _timed(lambda: region.contains(Point2(x, y)))
+    assert elapsed < BUDGET_S
+    assert inside is None or type(inside) is bool
+    for xs, ys in ((x, y), ([x], [y]), ([x, 0.5], [0.25, y])):
+        mask, elapsed = _timed(lambda: region.contains_mask(xs, ys))
+        assert elapsed < BUDGET_S
+        assert mask is None or np.asarray(mask).dtype == bool
+    if inside is not None:  # a finite point: both tests give it one answer
+        assert region.contains_mask([x], [y]).tolist() == [inside]
+
+
+@PROPERTY
 @given(samples=st.one_of(st.lists(st.floats(-1e308, 1e308), max_size=20),
                          st.lists(numbers, max_size=20), st.lists(anything, max_size=4),
                          anything),

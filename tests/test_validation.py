@@ -1,8 +1,8 @@
 """One validated boundary per quantity.
 
-Each ``AxisMarginal`` field checks its own argument, and ``RefNode`` checks
-its own coordinates; every public entry point reaches those checks instead
-of repeating them.
+Each ``AxisMarginal`` field checks its own argument, and ``RefNode`` and
+``HexRegion``'s containment tests check their own coordinates; every public
+entry point reaches those checks instead of repeating them.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import rwphex as rp
 from conftest import PROPERTY
-from rwphex import piecewise
+from rwphex import hexgeom, piecewise
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex.piecewise import DomainError
 
@@ -309,3 +309,44 @@ def test_results_follow_from_the_checked_float():
     assert got.side == want.side
     for name in ("d_values", "cdf_values"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+# a point's coordinates, which contains and contains_mask used to take
+# unchecked: text, None and Decimal raised TypeError, a complex coordinate
+# was answered, and NaN or an infinity read as outside
+@pytest.mark.parametrize("bad", ["0.5", None, Decimal("1"), np.complex128(1 + 0.5j),
+                                 math.nan, math.inf],
+                         ids=["text", "none", "decimal", "complex", "nan", "inf"])
+@pytest.mark.parametrize("bad_first", [True, False], ids=["x", "y"])
+def test_contains_refuses_a_coordinate(bad, bad_first):
+    xy = (bad, 0.5) if bad_first else (1.0, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real number|finite"):
+            HexRegion(1.0).contains(Point2(*xy))
+
+
+@pytest.mark.parametrize("xs, ys", [(np.array([1 + 0j]), np.array([0.5])), (["1"], [0.5]),
+                                    (np.array([math.nan]), np.array([0.5])),
+                                    (np.array([1.0]), np.array([0.5, -math.inf]))],
+                         ids=["complex", "text", "nan", "inf"])
+def test_contains_mask_refuses_coordinates(xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real number|finite"):
+            HexRegion(1.0).contains_mask(xs, ys)
+
+
+def test_library_points_skip_the_check(monkeypatch):
+    # the sampler's draws and a checked node at side 1 are floats already:
+    # they take the unchecked containment test, never the rule for a real number
+    def refuse(t):
+        raise AssertionError("a point of the library's own reached _float_array")
+
+    monkeypatch.setattr(hexgeom, "_float_array", refuse)
+    region, rng = HexRegion(1.0), np.random.default_rng(0)
+    assert 0.0 < rp.distance_cdf(_REF, 1.0, 0.5) < 1.0
+    assert len(rp.distance_cdf_curve(_REF, 1.0, 5).cdf_values) == 5
+    assert len(region.sample_uniform_batch(10, rng)) == 10
+    assert len(rp.simulate(rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=100.0))) == 101
+    assert len(rp.uniform_node_distances(region, _REF, 10, rng)) == 10

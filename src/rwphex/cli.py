@@ -30,7 +30,7 @@ from ._fmt import csv_rows
 from .hexgeom import HexRegion, Point2, RefNode, _count
 from .distance import distance_cdf_curve
 from .marginals import axis_marginal
-from .sim import SimConfig, distances_to, simulate, uniform_node_distances
+from .sim import SimConfig, distances_to, ecdf, simulate, uniform_node_distances
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
@@ -43,7 +43,7 @@ def _write_csv(path, header, *columns):
     one block's text is held at once.  ValueError if the file cannot be
     written.
     """
-    table = np.column_stack(columns).astype(float)
+    table = np.column_stack(columns)
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
@@ -89,12 +89,6 @@ def cmd_distance_cdf(args):
     return ("d", "cdf"), (curve.d_values, curve.cdf_values), {}
 
 
-def _ecdf_rows(samples):
-    """Distinct sample values and #(samples <= value) / n at each."""
-    values, counts = np.unique(samples, return_counts=True)
-    return values, np.cumsum(counts) / len(samples)
-
-
 def cmd_simulate(args):
     # refuse a bad or unreachably far node before simulating
     ref = _ref(args)
@@ -103,14 +97,14 @@ def cmd_simulate(args):
                        seed=args.seed)
     HexRegion(args.side).distance_extremes(ref)
     trace = simulate(config)
-    return (("d", "ecdf"), _ecdf_rows(distances_to(trace, ref)),
+    return (("d", "ecdf"), ecdf(distances_to(trace, ref)).steps(),
             {"legs": len(trace.waypoints) - 1, "samples": len(trace)})
 
 
 def cmd_baseline(args):
     rng = np.random.default_rng(args.seed)
     dists = uniform_node_distances(HexRegion(args.side), _ref(args), args.n, rng)
-    return ("d", "ecdf"), _ecdf_rows(dists), {}
+    return ("d", "ecdf"), ecdf(dists).steps(), {}
 
 
 def _ragged_line(path):
@@ -161,7 +155,8 @@ def cmd_compare(args) -> int:
     hi = min(da[-1], de[-1])
     if hi <= lo:
         raise ValueError("curves have no overlapping d-range")
-    grid = np.unique(np.clip(np.concatenate((da, de)), lo, hi))
+    # equal d give equal gaps, and argmax takes the first in sorted order
+    grid = np.sort(np.clip(np.concatenate((da, de)), lo, hi))
     gap = np.abs(np.interp(grid, da, va) - np.interp(grid, de, ve))
     k = int(np.argmax(gap))
     ks = float(gap[k])

@@ -15,6 +15,9 @@ A single real input of the library (a side, a node coordinate, a distance,
 a simulation's speeds and times, a point's coordinates) is checked once, by
 ``_real``, which applies ``piecewise._float_array``'s rule to one value; its
 owner keeps the finite Python float that passed and computes only with it.
+A point (a ``RefNode``'s, or the argument of ``HexRegion.contains``) is read
+by ``_point`` beside it: a ``Point2``, a 2-tuple or 2-list, or an array of
+shape (2,), whose two entries ``_real`` checks; anything else is no point.
 ``contains_mask`` applies the same rule to its arrays.  The library's own
 points (the sampler's draws, a checked node at side 1) are floats already
 and go through ``HexRegion._inside``, the unchecked containment test.
@@ -78,6 +81,17 @@ class Point2(NamedTuple):
     y: float
 
 
+def _point(p, name: str) -> Point2:
+    """``p`` as a ``Point2`` of finite Python floats; ValueError unless it is a
+    pair of real numbers: a ``Point2``, a 2-tuple or 2-list, or an array of
+    shape (2,), each entry checked by ``_real``."""
+    if isinstance(p, np.ndarray) and p.shape == (2,):
+        p = tuple(p)
+    if not (isinstance(p, (tuple, list)) and len(p) == 2):
+        raise ValueError(f"{name} must be a pair of real numbers")
+    return Point2(_real(p[0], f"{name} coordinate"), _real(p[1], f"{name} coordinate"))
+
+
 @dataclass(frozen=True)
 class RefNode:
     """Fixed reference node; may lie inside or outside the hexagon.
@@ -88,8 +102,7 @@ class RefNode:
     pos: Point2
 
     def __post_init__(self):
-        x, y = (_real(v, "reference node coordinate") for v in self.pos)
-        object.__setattr__(self, "pos", Point2(x, y))
+        object.__setattr__(self, "pos", _point(self.pos, "reference node"))
 
 
 def _segment_distance(px, py, ax, ay, vx, vy):
@@ -135,10 +148,9 @@ class HexRegion:
     def contains(self, p: Point2) -> bool:
         """Closed containment test; boundary points count as inside.
 
-        ValueError unless each coordinate is a finite real number.
+        ValueError unless ``p`` is a pair of finite real numbers.
         """
-        x, y = (_real(v, "point coordinate") for v in p)
-        return self._inside(x, y)
+        return self._inside(*_point(p, "point"))
 
     def contains_mask(self, xs, ys):
         """Closed containment of coordinate arrays; ValueError unless both are
@@ -166,6 +178,8 @@ class HexRegion:
     def sample_uniform_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, 2) array of uniform points; acceptance rate is 3/4."""
         n = _count(n, "n", 0)
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError("rng must be a numpy.random.Generator")
         chunks = [np.empty((0, 2))]
         got = 0
         while got < n:
@@ -195,11 +209,14 @@ _UNIT_EDGES = [(ax, ay, bx - ax, by - ay)
 
 
 def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
-    """The node at side 1 and its (d_min, d_max) there; ValueError if d_max overflows.
+    """The node at side 1 and its (d_min, d_max) there; ValueError unless ``ref``
+    is a ``RefNode``, or if d_max overflows.
 
     ``a`` is a side that ``_side`` returned.  At side 1 each squared edge
     length is within one ulp of 1, and nothing overflows unless d_max does.
     """
+    if not isinstance(ref, RefNode):
+        raise ValueError("reference node must be a RefNode")
     px, py = p = Point2(ref.pos[0] / a, ref.pos[1] / a)
     d_max = max([math.hypot(px - vx, py - vy) for vx, vy in _UNIT_VERTS])
     if not math.isfinite(d_max):

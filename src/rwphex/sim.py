@@ -142,6 +142,8 @@ def _legs(config: SimConfig, rng: np.random.Generator):
 
 def simulate(config: SimConfig) -> Trace:
     """Run one RWP trace and sample it on the fixed clock grid."""
+    if not isinstance(config, SimConfig):
+        raise ValueError("config must be a SimConfig")
     intervals = config.duration / config.sample_interval  # inf if it overflows
     if intervals >= MAX_SAMPLES:  # so floor(intervals) + 1 > MAX_SAMPLES
         raise ValueError(f"simulation would need more than {MAX_SAMPLES} samples")
@@ -169,6 +171,8 @@ def simulate(config: SimConfig) -> Trace:
 
 def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
     """Per-sample Euclidean distance to the reference node."""
+    if not isinstance(trace, Trace):
+        raise ValueError("trace must be a Trace")
     if len(trace) == 0:
         raise ValueError("trace is empty")
     # refuses an unreachable node
@@ -203,7 +207,8 @@ def _distances(xs, ys, ref, d_max):
 class EmpiricalCdf:
     """Right-continuous step function F(d) = (#samples <= d) / n.
 
-    This is the convention of the CLI's ``d,ecdf`` tables, whose last row is 1.
+    ``steps()`` gives its steps, which are the rows of the CLI's ``d,ecdf``
+    tables: the last row is 1.
     """
 
     __slots__ = ("sorted_samples",)
@@ -231,6 +236,17 @@ class EmpiricalCdf:
         out = pos / self.sorted_samples.size
         return float(out) if d.ndim == 0 else out
 
+    def steps(self):
+        """``(values, fractions)``: the distinct sorted samples, and F at each.
+
+        Of equal samples (0.0 and -0.0 among them) the first in sorted order
+        stands for the value, as in ``np.unique``.
+        """
+        s = self.sorted_samples
+        # one past the last copy of each value: the count of samples <= it
+        ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+        return s[np.append(0, ends[:-1])], ends / s.size
+
 
 def ecdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
@@ -251,8 +267,11 @@ def ks_statistic(emp: EmpiricalCdf, model) -> float:
 
     ``model`` maps the sorted samples to one value each, or to one scalar.
     Any other shape, or a value that is not a finite real number (text and
-    complex numbers included), raises ``ValueError``.
+    complex numbers included), raises ``ValueError``; so does an ``emp`` that
+    is not an ``EmpiricalCdf``.
     """
+    if not isinstance(emp, EmpiricalCdf):
+        raise ValueError("emp must be an EmpiricalCdf")
     s = emp.sorted_samples
     n = s.size
     m = _float_array(model(s))

@@ -123,6 +123,39 @@ def test_contains(x, y, side):
         assert region.contains_mask([x], [y]).tolist() == [inside]
 
 
+# what might be taken for a point: numbers and non-numbers, tuples, lists and
+# arrays of 0 to 3 of them, arrays of shape (1, 2), bytes, sets, dicts and iterators
+points = st.one_of(
+    anything, st.binary(max_size=3),
+    st.builds(Point2, st.one_of(coords, anything), st.one_of(coords, anything)),
+    st.lists(st.one_of(coords, anything), max_size=3),
+    st.lists(st.one_of(coords, anything), max_size=3).map(tuple),
+    st.lists(numbers, max_size=3).map(np.array),
+    st.tuples(coords, coords).map(lambda xy: np.array([xy])),
+    st.sets(coords, max_size=3), st.dictionaries(coords, coords, max_size=3),
+    st.lists(coords, max_size=3).map(iter))
+
+
+@PROPERTY
+@given(p=points, side=sides)
+@example(p=None, side=1.0)
+@example(p=b"ab", side=1.0)
+@example(p={0.25, 0.5}, side=1.0)
+def test_point(p, side):
+    # RefNode holds finite floats or raises ValueError, and contains answers
+    # exactly where RefNode does
+    node, elapsed = _timed(lambda: RefNode(p))
+    assert elapsed < BUDGET_S
+    inside, elapsed = _timed(lambda: HexRegion(side).contains(p))
+    assert elapsed < BUDGET_S
+    if node is None:
+        assert inside is None
+    else:
+        assert type(node.pos) is Point2
+        assert all(type(v) is float and math.isfinite(v) for v in node.pos)
+        assert type(inside) is bool
+
+
 @PROPERTY
 @given(samples=st.one_of(st.lists(st.floats(-1e308, 1e308), max_size=20),
                          st.lists(numbers, max_size=20), st.lists(anything, max_size=4),

@@ -8,7 +8,6 @@ import pytest
 
 import rwphex as rp
 from rwphex import sim
-from rwphex.cli import _ecdf_rows
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 
 
@@ -387,9 +386,15 @@ class TestEmpiricalCdf:
             rp.ecdf(samples)
 
     def test_matches_cli_table(self):
-        samples = np.array([0.3, 0.1, 0.3, 0.2, 0.3, 0.1])
-        values, frac = _ecdf_rows(samples)
-        assert np.array_equal(rp.ecdf(samples)(values), frac)
+        # steps() gives the CLI's d,ecdf rows: ties and a signed-zero pair
+        # each make one row, and each row is the ecdf at its value, bit for bit
+        samples = np.array([0.3, 0.1, 0.3, 0.2, 0.3, 0.1, -0.0, 0.0])
+        emp = rp.ecdf(samples)
+        values, frac = emp.steps()
+        assert values.tolist() == [0.0, 0.1, 0.2, 0.3] and frac[-1] == 1.0
+        assert emp(values).tobytes() == frac.tobytes()
+        # of the signed zeros, the first in sorted order stands for the value
+        assert math.copysign(1.0, values[0]) == math.copysign(1.0, emp.sorted_samples[0])
 
     def test_dkw_bound(self):
         rng = np.random.default_rng(55)

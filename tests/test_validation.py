@@ -1,8 +1,11 @@
 """One validated boundary per quantity.
 
-Each ``AxisMarginal`` field checks its own argument, and ``RefNode`` and
-``HexRegion``'s containment tests check their own coordinates; every public
-entry point reaches those checks instead of repeating them.
+Each ``AxisMarginal`` field checks its own argument, ``hexgeom._point``
+reads the point of ``RefNode`` and of ``HexRegion.contains``, and
+``contains_mask`` checks its own coordinates; every public entry point
+reaches those checks instead of repeating them, and an argument of the
+wrong kind (no ``RefNode``, ``Generator``, ``Trace``, ``EmpiricalCdf`` or
+``SimConfig``) is refused once, where it is first used.
 """
 
 import hashlib
@@ -350,3 +353,62 @@ def test_library_points_skip_the_check(monkeypatch):
     assert len(region.sample_uniform_batch(10, rng)) == 10
     assert len(rp.simulate(rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=100.0))) == 101
     assert len(rp.uniform_node_distances(region, _REF, 10, rng)) == 10
+
+
+# what is no pair of values, which RefNode and contains used to unpack as it
+# came: None and a scalar raised TypeError, while bytes, a set, a dict and an
+# iterator gave a point in the order they iterate
+NOT_POINTS = {"none": lambda: None, "scalar": lambda: 0.5, "0-d-array": lambda: np.array(0.5),
+              "bytes": lambda: b"ab", "set": lambda: {0.25, 0.5},
+              "dict": lambda: {0.25: 1, 0.5: 2}, "iterator": lambda: iter([0.25, 0.5])}
+
+
+@pytest.mark.parametrize("make", NOT_POINTS.values(), ids=NOT_POINTS.keys())
+@pytest.mark.parametrize("read", [RefNode, HexRegion(1.0).contains], ids=["node", "contains"])
+def test_refuses_what_is_no_point(make, read):
+    with pytest.raises(ValueError, match="pair of real numbers"):
+        read(make())
+
+
+# every entry that takes a node reads it in _unit_extremes, which used to
+# take whatever it was given and raise AttributeError on it
+@pytest.mark.parametrize("call", [
+    lambda ref: rp.distance_cdf(ref, 1.0, 0.5),
+    lambda ref: rp.distance_cdf_curve(ref, 1.0, 5),
+    lambda ref: rp.product_mass_hexagon(ref, 1.0),
+    lambda ref: HexRegion(1.0).distance_extremes(ref),
+    lambda ref: rp.distances_to(rp.simulate(rp.SimConfig(1.0, 0.01, 0.05, 10.0)), ref),
+    lambda ref: rp.uniform_node_distances(HexRegion(1.0), ref, 10, np.random.default_rng(0)),
+], ids=["cdf", "curve", "mass", "extremes", "distances-to", "uniform-distances"])
+@pytest.mark.parametrize("ref", [None, Point2(1.0, 0.8)], ids=["none", "point"])
+def test_refuses_what_is_no_node(call, ref):
+    with pytest.raises(ValueError, match="must be a RefNode"):
+        call(ref)
+
+
+# each used to raise TypeError or AttributeError on the wrong kind of argument
+@pytest.mark.parametrize("call, match", [
+    (lambda: HexRegion(1.0).sample_uniform_batch(10, 42), "Generator"),
+    (lambda: rp.uniform_node_distances(HexRegion(1.0), _REF, 10, None), "Generator"),
+    (lambda: rp.distances_to(None, _REF), "Trace"),
+    (lambda: rp.ks_statistic([1.0, 2.0], lambda s: s), "EmpiricalCdf"),
+    (lambda: rp.simulate(None), "SimConfig"),
+    (lambda: rp.simulate({"side": 1}), "SimConfig"),
+], ids=["batch-rng", "uniform-rng", "trace", "ks-emp", "config-none", "config-dict"])
+def test_refuses_a_wrong_kind_of_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("x, y", [(0.1, 2 / 3), (np.float32(0.1), 1), (np.int64(2), Fraction(1, 3)),
+                                  (True, np.float64(-0.0))],
+                         ids=["floats", "float32-int", "int64-fraction", "bool-negzero"])
+def test_points_read_as_before(x, y):
+    # a Point2, a tuple, a list and an array of shape (2,) all hold the floats
+    # of their two entries, as _real reads each
+    want = Point2(float(x), float(y))
+    for p in (Point2(x, y), (x, y), [x, y], np.array([x, y], dtype=object), np.array([x, y])):
+        node = RefNode(p)
+        assert type(node.pos) is Point2 and all(type(v) is float for v in node.pos)
+        assert np.array(node.pos).tobytes() == np.array(want).tobytes()
+        assert HexRegion(1.0).contains(p) is HexRegion(1.0).contains(want)

@@ -23,9 +23,14 @@ or is projected to need more than ``MAX_LEGS`` legs, raises ``ValueError``
 instead of running, and so does ``uniform_node_distances`` for more than
 ``MAX_SAMPLES`` points.
 
-Every sample lies in the cell, so the reach check of
-``HexRegion.distance_extremes`` keeps each sample's distance to the node
-finite, with no pass over the samples.
+A ``Trace`` checks its own fields when it is built, as ``SimConfig`` does:
+the configuration must be a ``SimConfig``, and the positions and waypoints
+real by ``piecewise._float_array``'s rule, of shape (n, 2) with n >= 1.  A
+float64 array is kept as the same object, so building a trace makes no pass
+over its values and keeps ``simulate``'s contiguous columns.  Whether the
+values are finite is left to the distance pass, which refuses what it cannot
+compute: a block whose largest distance is not finite, from a NaN or
+infinite position or one too far from the node, raises ``ValueError``.
 
 Distances and the KS pass work on blocks of ``SAMPLE_BLOCK`` samples, so
 each of their temporaries stays in cache.  A distance is
@@ -65,7 +70,8 @@ SAMPLE_BLOCK = 1 << 15  # samples per block of the distance and KS passes: 256 K
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation's inputs; each float field holds the float it was checked as."""
+    """One simulation's inputs; each field holds the value it was checked as:
+    a float, or an int for ``seed``."""
 
     side: float
     v_min: float
@@ -85,7 +91,7 @@ class SimConfig:
             raise ValueError("sample_interval must be positive")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        _count(self.seed, "seed", 0)
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -94,12 +100,26 @@ class Trace:
 
     ``waypoints`` holds the leg endpoints actually visited (the uniform
     start followed by each destination), for diagnostics on waypoint
-    uniformity.
+    uniformity.  Each array field holds the float array it was checked as:
+    real, of shape (n, 2) with n >= 1.  A float64 array is kept as it is,
+    with no pass over its values.
     """
 
     positions: np.ndarray  # (n, 2); simulate gives each column contiguous
     waypoints: np.ndarray  # (legs + 1, 2)
     config: SimConfig = field(repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.config, SimConfig):
+            raise ValueError("config must be a SimConfig")
+        for name in ("positions", "waypoints"):
+            try:
+                arr = _float_array(getattr(self, name))
+            except ValueError:  # DomainError too: an int beyond the float range
+                raise ValueError(f"{name} must be an array of real numbers") from None
+            if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+                raise ValueError(f"{name} have shape {arr.shape}; need (n, 2) with n >= 1")
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.positions)
@@ -173,34 +193,38 @@ def distances_to(trace: Trace, ref: RefNode) -> np.ndarray:
     """Per-sample Euclidean distance to the reference node."""
     if not isinstance(trace, Trace):
         raise ValueError("trace must be a Trace")
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
     # refuses an unreachable node
     _, d_max = HexRegion(trace.config.side).distance_extremes(ref)
     return _distances(trace.positions[:, 0], trace.positions[:, 1], ref, d_max)
 
 
 def _distances(xs, ys, ref, d_max):
-    """Distances from the points (xs[i], ys[i]) of the cell to ref, by blocks.
+    """Distances from the points (xs[i], ys[i]) to ref, by blocks.
 
-    ``d_max`` bounds every distance; dx and dy are scaled by 2**-e, where
-    ``frexp(d_max)`` gives e, so their squares sum to less than 2.
+    ``d_max`` bounds every distance from a point of the cell; dx and dy are
+    scaled by 2**-e, where ``frexp(d_max)`` gives e, so their squares sum to
+    less than 2.  A point off the cell may overflow at any step, so a block
+    whose largest distance is not finite raises ValueError.
     """
     _, e = math.frexp(d_max)
     x1, y1 = ref.pos
     out = np.empty(len(xs))
     dy_buf = np.empty(min(len(xs), SAMPLE_BLOCK))
-    for lo in range(0, len(xs), SAMPLE_BLOCK):
-        hi = min(lo + SAMPLE_BLOCK, len(xs))
-        dx, dy = out[lo:hi], dy_buf[:hi - lo]  # dx turns into the distance in place
-        np.subtract(xs[lo:hi], x1, out=dx)
-        np.subtract(ys[lo:hi], y1, out=dy)
-        for v in (dx, dy):
-            np.ldexp(v, -e, out=v)  # exact, barring underflow
-            np.multiply(v, v, out=v)
-        dx += dy
-        np.sqrt(dx, out=dx)
-        np.ldexp(dx, e, out=dx)
+    with np.errstate(over="ignore"):  # an overflow leaves an inf, refused below
+        for lo in range(0, len(xs), SAMPLE_BLOCK):
+            hi = min(lo + SAMPLE_BLOCK, len(xs))
+            dx, dy = out[lo:hi], dy_buf[:hi - lo]  # dx turns into the distance in place
+            np.subtract(xs[lo:hi], x1, out=dx)
+            np.subtract(ys[lo:hi], y1, out=dy)
+            for v in (dx, dy):
+                np.ldexp(v, -e, out=v)  # exact, barring underflow
+                np.multiply(v, v, out=v)
+            dx += dy
+            np.sqrt(dx, out=dx)
+            np.ldexp(dx, e, out=dx)
+            # max propagates NaN; checked after the last ldexp, which can overflow too
+            if not math.isfinite(dx.max()):
+                raise ValueError("distances must be finite: a position is NaN, infinite or too far")
     return out
 
 
@@ -255,6 +279,8 @@ def ecdf(samples) -> EmpiricalCdf:
 def uniform_node_distances(region: HexRegion, ref: RefNode, n: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Distances from n i.i.d. uniform points in the hexagon to ref."""
+    if not isinstance(region, HexRegion):  # before any draw
+        raise ValueError("region must be a HexRegion")
     n = _count(n, "n", 1, MAX_SAMPLES)
     # refuses an unreachable node before drawing
     _, d_max = region.distance_extremes(ref)
@@ -268,10 +294,12 @@ def ks_statistic(emp: EmpiricalCdf, model) -> float:
     ``model`` maps the sorted samples to one value each, or to one scalar.
     Any other shape, or a value that is not a finite real number (text and
     complex numbers included), raises ``ValueError``; so does an ``emp`` that
-    is not an ``EmpiricalCdf``.
+    is not an ``EmpiricalCdf``, or a ``model`` that is not callable.
     """
     if not isinstance(emp, EmpiricalCdf):
         raise ValueError("emp must be an EmpiricalCdf")
+    if not callable(model):
+        raise ValueError("model must be callable")
     s = emp.sorted_samples
     n = s.size
     m = _float_array(model(s))

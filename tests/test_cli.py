@@ -358,6 +358,32 @@ class TestCompareCommand:
         assert main(["compare", str(good), str(empty)]) == 2
         assert capsys.readouterr().err == f"error: {empty}: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot parse {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("d,ecdf\n1,0.5\n0,1\n", "{path}: d column must be sorted"),
+        ("d,ecdf\n5,0.5\n6,1\n", "curves have no overlapping d-range"),
+    ], ids=["missing", "unsorted", "no-overlap"])
+    def test_refused_table_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        if text is not None:
+            path.write_text(text)
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n1,1\n")
+        assert main(["compare", str(good), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(path=path) + "\n"
+
+    def test_non_numeric_value_keeps_numpys_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("d,ecdf\n0,0\n1,x\n")
+        good = tmp_path / "good.csv"
+        good.write_text("d,cdf\n0,0\n1,1\n")
+        with pytest.raises(ValueError) as info:
+            np.loadtxt(bad, delimiter=",", skiprows=1, ndmin=2)
+        assert main(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse {bad}: {info.value}\n"
+
     def test_header_only_table_prints_one_error_line(self, tmp_path):
         # in its own process, so that a warning numpy prints would reach stderr
         hdr = tmp_path / "hdr.csv"

@@ -81,6 +81,10 @@ class TestExpectedLeg:
         with pytest.raises(ValueError, match="side"):
             rp.axis_marginal("y", -2.0)
 
+    def test_invalid_axis(self):
+        with pytest.raises(ValueError, match="axis must be 'x' or 'y'"):
+            rp.axis_marginal("z", 1.0)
+
     @pytest.mark.parametrize("axis", ["x", "y"])
     @pytest.mark.parametrize("side", [math.inf, math.nan])
     def test_non_finite_side(self, axis, side):

@@ -45,6 +45,11 @@ def test_validation():
         PiecewisePolynomial([0.0, 1.0], [[1.0], [2.0]])
 
 
+def test_needs_two_breakpoints():
+    with pytest.raises(ValueError, match="need at least two breakpoints"):
+        PiecewisePolynomial([0.0], [])
+
+
 def per_piece_polyval(pp, t):
     """Reference: npoly.polyval on each piece's own points."""
     idx = np.clip(np.searchsorted(pp.breakpoints, t, side="right") - 1, 0, len(pp.coeffs) - 1)

@@ -156,6 +156,38 @@ def test_point(p, side):
         assert type(inside) is bool
 
 
+@st.composite
+def tables(draw, elements):
+    """A list of 0 to 3 rows of 1 to 3 entries each."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return [[draw(elements) for _ in range(cols)] for _ in range(rows)]
+
+
+# what might be taken for a trace's positions: numbers and non-numbers, and
+# tables of them of shape (0-3, 1-3), as lists and as arrays
+positions = st.one_of(anything, tables(st.one_of(coords, anything)),
+                      tables(st.one_of(coords, st.sampled_from(EXTREME))).map(np.array))
+
+
+@PROPERTY
+@given(positions=positions, x=coords, y=coords, side=sides)
+@example(positions=[[math.nan, 0.0]], x=0.0, y=0.0, side=1.0)
+@example(positions=[[math.inf, 0.0]], x=0.0, y=0.0, side=1.0)
+@example(positions=[[1e308, 0.0]], x=0.0, y=0.0, side=1.0)
+@example(positions=[[1.7e308, 1.7e308]], x=0.0, y=0.0, side=5e307)  # overflows at 2**e
+@example(positions=None, x=0.0, y=0.0, side=1.0)
+@example(positions=np.zeros((0, 2)), x=0.0, y=0.0, side=1.0)
+def test_trace_positions(positions, x, y, side):
+    # distances_to gives finite floats, one per position, or raises ValueError
+    config = sim.SimConfig(side=side, v_min=0.01, v_max=0.05, duration=10.0)
+    node = RefNode(Point2(x, y))
+    d, elapsed = _timed(lambda: rp.distances_to(sim.Trace(positions, np.zeros((1, 2)), config),
+                                                node))
+    assert elapsed < BUDGET_S
+    assert d is None or (d.dtype == float and d.shape == (len(positions),)
+                         and np.all(np.isfinite(d)))
+
+
 @PROPERTY
 @given(samples=st.one_of(st.lists(st.floats(-1e308, 1e308), max_size=20),
                          st.lists(numbers, max_size=20), st.lists(anything, max_size=4),

@@ -30,6 +30,19 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be"):
             rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10, seed=seed)
 
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=-1.0)
+
+    @pytest.mark.parametrize("seed, want", [(np.int64(3), 3), (True, 1), (np.uint8(7), 7)],
+                             ids=["int64", "bool", "uint8"])
+    def test_seed_is_kept_as_the_checked_int(self, seed, want):
+        # the field used to keep the value as given; the trace is the same
+        config = paper_config(seed=seed, duration=50)
+        assert type(config.seed) is int and config.seed == want
+        want_positions = rp.simulate(paper_config(seed=want, duration=50)).positions
+        assert rp.simulate(config).positions.tobytes() == want_positions.tobytes()
+
     @pytest.mark.parametrize("field", ["side", "v_min", "v_max", "duration", "sample_interval"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_fields_rejected(self, field, value):

@@ -4,8 +4,10 @@ Each ``AxisMarginal`` field checks its own argument, ``hexgeom._point``
 reads the point of ``RefNode`` and of ``HexRegion.contains``, and
 ``contains_mask`` checks its own coordinates; every public entry point
 reaches those checks instead of repeating them, and an argument of the
-wrong kind (no ``RefNode``, ``Generator``, ``Trace``, ``EmpiricalCdf`` or
-``SimConfig``) is refused once, where it is first used.
+wrong kind (no ``RefNode``, ``Generator``, ``Trace``, ``EmpiricalCdf``,
+``SimConfig``, ``HexRegion`` or callable model) is refused once, where it is
+first used.  A ``Trace`` checks its own fields, and the distance pass refuses
+a distance it cannot compute.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import rwphex as rp
 from conftest import PROPERTY
-from rwphex import hexgeom, piecewise
+from rwphex import hexgeom, piecewise, sim
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode
 from rwphex.piecewise import DomainError
 
@@ -394,7 +396,11 @@ def test_refuses_what_is_no_node(call, ref):
     (lambda: rp.ks_statistic([1.0, 2.0], lambda s: s), "EmpiricalCdf"),
     (lambda: rp.simulate(None), "SimConfig"),
     (lambda: rp.simulate({"side": 1}), "SimConfig"),
-], ids=["batch-rng", "uniform-rng", "trace", "ks-emp", "config-none", "config-dict"])
+    (lambda: rp.uniform_node_distances(None, _REF, 10, np.random.default_rng(0)), "HexRegion"),
+    (lambda: rp.ks_statistic(_EMP, None), "callable"),
+    (lambda: rp.ks_statistic(_EMP, 0.5), "callable"),
+], ids=["batch-rng", "uniform-rng", "trace", "ks-emp", "config-none", "config-dict",
+        "uniform-region", "ks-model-none", "ks-model-scalar"])
 def test_refuses_a_wrong_kind_of_argument(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -412,3 +418,76 @@ def test_points_read_as_before(x, y):
         assert type(node.pos) is Point2 and all(type(v) is float for v in node.pos)
         assert np.array(node.pos).tobytes() == np.array(want).tobytes()
         assert HexRegion(1.0).contains(p) is HexRegion(1.0).contains(want)
+
+
+def test_region_is_checked_before_any_draw():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="HexRegion"):
+        rp.uniform_node_distances(1.0, _REF, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+_CONFIG = rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10.0)
+_XY = np.zeros((1, 2))
+
+
+# a hand-built Trace, whose fields went unchecked until distances_to raised
+# TypeError or numpy's UFuncTypeError on them, or refused an empty trace
+@pytest.mark.parametrize("fields, match", [
+    (dict(config=None), "config must be a SimConfig"),
+    (dict(config={"side": 1.0}), "config must be a SimConfig"),
+    (dict(positions=np.array([["0.5", "1"]])), "positions must be an array of real numbers"),
+    (dict(positions=[["0.5", 1.0]]), "positions must be an array of real numbers"),
+    (dict(positions=np.array([[0.5 + 1j, 0.0]])), "positions must be an array of real numbers"),
+    (dict(positions=None), "positions must be an array of real numbers"),
+    (dict(waypoints=np.array([[None, 0.0]], dtype=object)),
+     "waypoints must be an array of real numbers"),
+    (dict(waypoints=[[10**400, 0.0]]), "waypoints must be an array of real numbers"),
+    (dict(positions=np.zeros((2, 3))), r"positions have shape \(2, 3\)"),
+    (dict(waypoints=np.zeros((1, 3))), r"waypoints have shape \(1, 3\)"),
+    (dict(positions=np.zeros(2)), r"positions have shape \(2,\)"),
+    (dict(positions=np.float64(0.5)), r"positions have shape \(\)"),
+    (dict(positions=np.zeros((0, 2))), r"positions have shape \(0, 2\)"),
+    (dict(waypoints=np.zeros((0, 2))), r"waypoints have shape \(0, 2\)"),
+], ids=["config-none", "config-dict", "text", "text-list", "complex", "positions-none",
+        "waypoint-none", "waypoint-big-int", "three-columns", "waypoint-three-columns",
+        "one-d", "scalar", "empty", "no-waypoints"])
+def test_trace_refuses_a_field(fields, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when it drops an imaginary part
+        with pytest.raises(ValueError, match=match):
+            rp.Trace(**{"positions": _XY, "waypoints": _XY, "config": _CONFIG, **fields})
+
+
+def test_trace_keeps_the_float_arrays():
+    # a float64 array is kept as it is; anything else real becomes floats
+    trace = rp.simulate(_CONFIG)
+    kept = rp.Trace(trace.positions, trace.waypoints, trace.config)
+    assert kept.positions is trace.positions and kept.waypoints is trace.waypoints
+    listed = rp.Trace([[0, 0.5], [Fraction(1, 4), True]], [(0.0, 0.0)], _CONFIG)
+    for arr in (listed.positions, listed.waypoints):
+        assert type(arr) is np.ndarray and arr.dtype == float and arr.shape[1] == 2
+    assert listed.positions.tolist() == [[0.0, 0.5], [0.25, 1.0]] and len(listed) == 2
+    assert rp.distances_to(listed, RefNode((0.0, 0.0))).tolist() == [0.5, math.hypot(0.25, 1.0)]
+
+
+# positions that no distance can be computed from: NaN and infinities, and a
+# point so far from the node that its distance overflows.  They used to give
+# NaN or inf, with a RuntimeWarning for the overflow; the last one overflows
+# only in the final scaling by 2**e.  Each is met in the first block and in
+# a later one.
+@pytest.mark.parametrize("side, xy", [(1.0, (math.nan, 0.0)), (1.0, (0.0, math.inf)),
+                                      (1.0, (-math.inf, 0.5)), (1.0, (1e308, 0.0)),
+                                      (5e307, (1.7e308, 1.7e308))],
+                         ids=["nan", "inf", "negative-inf", "1e308", "final-scaling"])
+@pytest.mark.parametrize("at", [0, sim.SAMPLE_BLOCK + 5], ids=["first-block", "later-block"])
+def test_distances_to_refuses_a_position(side, xy, at):
+    positions = np.zeros((sim.SAMPLE_BLOCK + 10, 2))
+    positions[at] = xy
+    config = rp.SimConfig(side=side, v_min=0.01, v_max=0.05, duration=10.0)
+    trace = rp.Trace(positions, _XY, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distances must be finite"):
+            rp.distances_to(trace, RefNode((0.0, 0.0)))

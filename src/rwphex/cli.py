@@ -129,8 +129,8 @@ def _read_curve(path):
             # a table without rows is refused below, in the CLI's own words
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ValueError(f"cannot parse {path}: {exc}") from exc
+    except OSError as exc:  # str(exc) would name the file a second time
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         # numpy's message for a ragged table names an option of its own
         raise ValueError(_ragged_line(path) or f"cannot parse {path}: {exc}") from exc

@@ -24,12 +24,10 @@ The integrand runs once on the whole array, so a 200-point curve is one
 call.  At most 21 intervals exist per d, so the block size alone bounds the
 working set, and the integrand works in place where it can to keep it small.
 
-Each column's 16 products are summed in numpy's own order for a row of 16:
-r_j = p_j + p_{j+8}, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).
-``_NODES`` holds the Gauss nodes in bit-reversed order, so every level of
-that tree adds two contiguous halves of the rows (``_panel_sum``), and an
-interval's sum does not depend on the layout.  Each d then sums its own
-intervals in order.
+Each column's 16 products are summed by halving (``_panel_sum``): every
+level adds the two contiguous halves of the rows, so an interval's sum does
+not depend on the layout, and a scalar query gives the bits of the curve.
+Each d then sums its own intervals in order.
 
 Every quantity is scale-invariant.  On entry ``hexgeom._real`` and
 ``hexgeom._side`` turn d and the side into checked floats, the ``RefNode``
@@ -69,10 +67,7 @@ __all__ = [
     "distance_cdf_curve",
 ]
 
-# the Gauss-Legendre rule with its nodes in bit-reversed order, in which
-# _panel_sum adds them as numpy sums a row of 16
-_ORDER = [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15]
-_NODES, _WEIGHTS = (v[_ORDER] for v in np.polynomial.legendre.leggauss(16))
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 256  # d values per integrand evaluation; bounds the working set
 MAX_CURVE_POINTS = 10**6  # a curve (or CLI grid) of more points is refused
 
@@ -111,7 +106,7 @@ def _rule(lo, hi):
     """Nodes and weights of one 16-point Gauss-Legendre panel on each [lo[i], hi[i]].
 
     ``lo`` and ``hi`` have shape (k,); both results have shape (16, k), one
-    row per node in ``_NODES``' order and one column per interval, so an
+    row per node of ``_NODES`` and one column per interval, so an
     interval's sum does not depend on the other intervals evaluated with it.
     """
     half = _HALF * (hi - lo)
@@ -119,11 +114,12 @@ def _rule(lo, hi):
 
 
 def _panel_sum(p):
-    """Each column's sum of a (16, k) ``p`` in ``_NODES``' order.
+    """Each column's sum of a (16, k) ``p``, the same for every k.
 
-    Every step adds the two halves of the rows, which in that order is
-    numpy's own sum of one row of 16.  Another node count, such as a test's
-    finer rule, halves while it can and sums the rest.
+    Every step adds the two halves of the rows.  numpy's ``sum(axis=0)``
+    would not do: it adds a (16, 1) column in another order than wider
+    arrays, so a scalar query would lose the curve's bits.  Another node
+    count, such as a test's finer rule, halves while it can and sums the rest.
     """
     n = len(p)
     while n % 2 == 0:

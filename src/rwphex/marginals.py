@@ -15,10 +15,15 @@ paper's model; the node's exact per-axis law differs from it (README).
 
 The y-axis is derived in u = y / sqrt(3), where its waypoint density has
 rational coefficients.  ``_unit_tables`` builds every side-1 table in one
-step: it rounds each exact coefficient to a float once, takes the PDF as
-the derivative of the rounded CDF, and maps u to cell coordinates.  At side a,
-read from one side-1 table each, the CDF is F_1(t / a), each density
-f_1(t / a) / a and the partial leg a L_1(t / a): a subnormal a overflows.
+step: it writes each exact piece about its origin (its left breakpoint, or
+the top end for the last piece), takes the PDF as the exact derivative of
+the exact CDF, maps u to cell coordinates, and only then rounds each
+coefficient to a float, once.  A table's value at an end of the domain is
+then its rounded constant term: F is exactly 0 at the lower end and exactly
+1 at the top, the PDF exactly 0 at both, and next to either end F stays in
+[0, 1] and the PDF at or above 0.  At side a, read from one side-1 table
+each, the CDF is F_1(t / a), each density f_1(t / a) / a and the partial
+leg a L_1(t / a): a subnormal a overflows.
 Each such field is a ``SideScaled``, and its argument is checked once, by
 the side-1 table against the table's domain times a
 (``PiecewisePolynomial._at``).
@@ -36,7 +41,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .hexgeom import SQRT3, HexRegion
-from .piecewise import PiecewisePolynomial
+from .piecewise import PiecewisePolynomial, _origins
 
 __all__ = [
     "AxisMarginal",
@@ -75,28 +80,44 @@ def _leg_below(breaks, pieces):
     return below, branches
 
 
+def _about_origins(breaks, pieces):
+    """Each exact piece's ascending coefficients in s = t - o_i, o_i its origin."""
+    shifted = []
+    for o, piece in zip(_origins(breaks), pieces):
+        c = np.array(piece, dtype=object)
+        for i in range(len(c) - 1):  # synthetic division by t - o, repeated
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] += o * c[k + 1]
+        shifted.append(c)
+    return shifted
+
+
 @lru_cache(maxsize=None)
 def _unit_tables(axis: str) -> dict:
     """Side-1 tables in cell coordinates, keyed by ``AxisMarginal`` field, and E(L).
 
-    On the y-axis, y = sqrt(3) u scales each rounded coefficient c_k by
-    sqrt(3)**-k, then a density by 1/sqrt(3) and the partial leg by sqrt(3).
+    Each piece is written about its origin (``piecewise._origins``).  On
+    the y-axis, y - y_i = sqrt(3) (u - u_i) scales each coefficient c_k by
+    sqrt(3)**-k, then a density by 1/sqrt(3) and the partial leg by
+    sqrt(3).  That scaling is exact, in the float ``SQRT3`` that spans the
+    cell, so each coefficient is rounded once, last.
     """
     breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
-    alpha = 1.0 if axis == "x" else SQRT3  # cell coordinate per unit of u
+    alpha = F(1) if axis == "x" else F(SQRT3)  # cell coordinate per unit of u
     expected, branches = _leg_below(breaks, pieces)
-    cdf = [np.array(b / expected, dtype=float) for b in branches]
-    bp = np.array(breaks, dtype=float) * alpha
+    leg = _about_origins(breaks, branches)
+    cdf = [c / expected for c in leg]
+    bp = np.array([b * alpha for b in breaks], dtype=float)
 
-    def cell(coeffs, factor):
-        scale = alpha ** -np.arange(max(c.size for c in coeffs))
-        return PiecewisePolynomial(bp, [c * scale[:c.size] * factor for c in coeffs])
+    def cell(exact, power):  # the field in cell coordinates is alpha**power times its u form
+        return PiecewisePolynomial(bp, [[float(c * alpha ** (power - k)) for k, c in enumerate(p)]
+                                        for p in exact])
 
-    return {"waypoint_pdf": cell([np.array(p, dtype=float) for p in pieces], 1.0 / alpha),
-            "stationary_pdf": cell([npoly.polyder(c) for c in cdf], 1.0 / alpha),
-            "stationary_cdf": cell(cdf, 1.0),
-            "partial_leg": cell([np.array(b, dtype=float) for b in branches], alpha),
-            "expected_leg": float(expected) * alpha}
+    return {"waypoint_pdf": cell(_about_origins(breaks, pieces), -1),
+            "stationary_pdf": cell([npoly.polyder(c) for c in cdf], -1),
+            "stationary_cdf": cell(cdf, 0),
+            "partial_leg": cell(leg, 1),
+            "expected_leg": float(expected * alpha)}
 
 
 class SideScaled(NamedTuple):

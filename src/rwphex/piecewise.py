@@ -6,14 +6,21 @@ uses the piece that starts there.
 
 A Python ``float`` or ``int`` argument (``np.float64`` is a ``float``), or
 a 0-d array, is evaluated in Python floats: ``bisect`` over the interior
-breakpoints finds its piece, and Horner runs over that piece's
+breakpoints finds its piece i, and Horner runs over that piece's
 coefficients.  An array argument is evaluated as a whole, in two steps: the
 domain check and clamp, then ``_horner``.  There a point's piece index
 counts the interior breakpoints at or below it, one comparison per
-breakpoint, and Horner runs on the coefficients gathered for it.  Both run
-Horner in ``polyval``'s order (acc = acc * t + c_k, from the top power), so
-every value equals ``npoly.polyval`` on its own piece bit for bit,
-whichever way it was computed.
+breakpoint, and Horner runs on the coefficients gathered for it.
+
+Each piece is a polynomial in s = t - o_i, where its origin o_i is its
+left breakpoint, except that the last piece's origin is the domain's top
+(``_origins``).  No piece then sums terms much larger than its values, and
+near either end of the domain a value is its constant term plus terms as
+small as its change there: a field that is 0 or 1 at an end is exactly that
+at the end and keeps its sign or its bound next to it.  Both paths subtract
+the origin once and run Horner in ``polyval``'s order (acc = acc * s + c_k,
+from the top power), so every value equals ``npoly.polyval(t - o_i,
+coeffs[i])`` bit for bit, whichever way it was computed.
 
 The distance integrand passes its quadrature nodes node-major: the last two
 axes of its argument are one row per Gauss node and one column per cut
@@ -21,11 +28,12 @@ interval, and each interval lies inside one piece of each table.  When
 every column's points do share a piece and the argument holds at least
 ``_BY_COLUMN_MIN`` points, ``_horner`` gathers one coefficient per power and
 column, (degree + 1, k) instead of (degree + 1, 16 k), and broadcasts it
-down the column; below that size a gather per point costs less than the
-broadcasts.  The piece is still each point's own, found by the same
-comparisons, so both gathers give the same bytes.  Reading a column's piece
-at one node alone would not: where the disk cuts a lens thinner than about
-1e-12 from the cell, a node's x or slice end can round across a breakpoint.
+and the column's origin down the column; below that size a gather per point
+costs less than the broadcasts.  The piece is still each point's own, found
+by the same comparisons, so both gathers give the same bytes.  Reading a
+column's piece at one node alone would not: where the disk cuts a lens
+thinner than about 1e-12 from the cell, a node's x or slice end can round
+across a breakpoint.
 
 A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
@@ -37,12 +45,13 @@ applies: a bool, int or float dtype, or ``numbers.Real`` objects.  Anything
 else raises ``ValueError``, and an int beyond the float range
 ``DomainError``; the Python-float branch pays nothing for those checks.
 
-The coefficients are floats: ``marginals._unit_tables`` rounds each exact
-coefficient once when it builds a side-1 table.  No table is rescaled: an
-``AxisMarginal`` field at side a reads its side-1 table through
-``_at(t, a)``, which converts t, divides it by a, checks t / a against the
-domain and names the domain times a in its ``DomainError``.  That is the
-one check of a field's argument; ``__call__`` is ``_at`` at side 1.
+The coefficients are floats: ``marginals._unit_tables`` writes each exact
+piece about its origin and rounds each coefficient once when it builds a
+side-1 table.  No table is rescaled: an ``AxisMarginal`` field at side a
+reads its side-1 table through ``_at(t, a)``, which converts t, divides it
+by a, checks t / a against the domain and names the domain times a in its
+``DomainError``.  That is the one check of a field's argument; ``__call__``
+is ``_at`` at side 1.
 """
 
 from __future__ import annotations
@@ -86,13 +95,20 @@ def _float_array(t):
         raise DomainError("argument outside the float range") from None
 
 
+def _origins(breakpoints):
+    """Each piece's origin: its left breakpoint, or for the last piece the top end."""
+    return [*breakpoints[:-2], breakpoints[-1]]
+
+
 class PiecewisePolynomial:
     """Polynomial pieces over ``breakpoints[i] <= t < breakpoints[i+1]``.
 
-    ``coeffs[i]`` holds ascending-power coefficients of the i-th piece.
+    ``coeffs[i]`` holds the i-th piece's coefficients in ascending powers of
+    t - o_i, the distance from its origin o_i (``_origins``).
     """
 
-    __slots__ = ("breakpoints", "_table", "_lo", "_hi", "_tol", "_inner", "_inner_arrays", "_pieces")
+    __slots__ = ("breakpoints", "_table", "_lo", "_hi", "_tol", "_inner", "_inner_arrays",
+                 "_origin", "_pieces")
 
     def __init__(self, breakpoints, coeffs):
         bp = np.asarray(breakpoints, dtype=float)
@@ -103,7 +119,7 @@ class PiecewisePolynomial:
         if len(coeffs) != bp.size - 1:
             raise ValueError("piece count must match interval count")
         coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-        # row k holds every piece's t**k coefficient, zero above its degree
+        # row k holds every piece's s**k coefficient, zero above its degree
         table = np.zeros((max(c.size for c in coeffs), len(coeffs)))
         for i, c in enumerate(coeffs):
             table[:c.size, i] = c
@@ -115,12 +131,15 @@ class PiecewisePolynomial:
         # the same as 0-d arrays, which numpy compares against faster than
         # Python floats
         self._inner_arrays = [np.array(b) for b in self._inner]
-        # each piece's own coefficients as Python floats, top power first
-        self._pieces = [col[c.size - 1::-1] for col, c in zip(table.T.tolist(), coeffs)]
+        # each piece's origin, for the array path; for the scalar path, per
+        # piece its origin and own coefficients as Python floats, top power first
+        self._origin = np.array(_origins(bp))
+        self._pieces = [(o, col[c.size - 1::-1])
+                        for o, col, c in zip(self._origin.tolist(), table.T.tolist(), coeffs)]
 
     @property
     def coeffs(self) -> list:
-        return [np.array(piece[::-1]) for piece in self._pieces]
+        return [np.array(piece[::-1]) for _, piece in self._pieces]
 
     @property
     def domain(self):
@@ -157,10 +176,11 @@ class PiecewisePolynomial:
         if not (lo - tol <= t <= hi + tol):
             raise DomainError(f"argument outside domain [{lo * side}, {hi * side}]")
         t = min(max(t, lo), hi)
-        piece = self._pieces[bisect_right(self._inner, t)]
+        origin, piece = self._pieces[bisect_right(self._inner, t)]
+        s = t - origin
         out = piece[0]
         for c in piece[1:]:
-            out = out * t + c
+            out = out * s + c
         return out
 
     def _horner(self, t):
@@ -168,8 +188,8 @@ class PiecewisePolynomial:
 
         When ``t`` has two axes or more, its last two are nodes and
         intervals: a large one whose every column lies inside one piece
-        gathers one set of coefficients per column, which broadcasts down the
-        column.
+        gathers one set of coefficients and one origin per column, which
+        broadcast down the column.
         """
         # a point's piece is the number of interior breakpoints at or below
         # it, which clamps the index to the first and last piece; exact for
@@ -185,10 +205,11 @@ class PiecewisePolynomial:
         coeffs = self._table.take(idx, axis=1)
         if len(coeffs) == 1:
             return np.broadcast_to(coeffs[0], t.shape).copy()
-        # c_top * t is where polyval's 0 * t + c_top, times t, arrives
-        out = coeffs[-1] * t
+        s = t - self._origin.take(idx)
+        # c_top * s is where polyval's 0 * s + c_top, times s, arrives
+        out = coeffs[-1] * s
         for c in coeffs[-2:0:-1]:
             out += c
-            out *= t
+            out *= s
         out += coeffs[0]
         return out

@@ -205,15 +205,18 @@ def _disk_kinks(ref, d):
 
 
 def _pointwise(pp):
-    """Scalar Horner evaluator of a piecewise polynomial, for quad's many calls."""
+    """Scalar Horner evaluator of a piecewise polynomial, for quad's many calls;
+    each piece is a polynomial in t minus its left breakpoint, or minus the
+    top end for the last piece."""
     breaks = pp.breakpoints.tolist()
     pieces = [c.tolist()[::-1] for c in pp.coeffs]
+    origins = breaks[:-2] + breaks[-1:]
 
     def f(t):
         i = min(max(bisect.bisect_right(breaks, t) - 1, 0), len(pieces) - 1)
-        v = 0.0
+        s, v = t - origins[i], 0.0
         for c in pieces[i]:
-            v = v * t + c
+            v = v * s + c
         return v
 
     return f

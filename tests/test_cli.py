@@ -359,7 +359,7 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"error: {empty}: {message}\n"
 
     @pytest.mark.parametrize("text, message", [
-        (None, "cannot parse {path}: [Errno 2] No such file or directory: '{path}'"),
+        (None, "cannot read {path}: No such file or directory"),
         ("d,ecdf\n1,0.5\n0,1\n", "{path}: d column must be sorted"),
         ("d,ecdf\n5,0.5\n6,1\n", "curves have no overlapping d-range"),
     ], ids=["missing", "unsorted", "no-overlap"])
@@ -438,17 +438,17 @@ def test_version_matches_pyproject():
 # CSV, and its manifest without the wall_clock_s line.
 PINNED_RUNS = {
     "marginals-x": (["marginals", "--axis", "x", "--grid-n", "7"],
-                    "b5c812b9a3f035817f5ac57499d78bd357086fbf2f24cb143c52aa0381174b42",
+                    "882fdcc0c460621452e5929e79a0f13260bd44ba5cc41a04ca46b93b9603cfd6",
                     "command=marginals\naxis=x\ngrid_n=7\nside=1.0\n"),
     "marginals-y": (["marginals", "--axis", "y", "--side", "2.5", "--grid-n", "9"],
-                    "fb15d957e1df81e2de2b86130fea402fc435c6676d9f57bb7e08a67c96d7c91d",
+                    "74af1d3ef071255d418d437c1d4d871fd126fb00b300d387e81c4175da753174",
                     "command=marginals\naxis=y\ngrid_n=9\nside=2.5\n"),
     "cdf-inner": (["distance-cdf", "--ref-x", "1", "--ref-y", "0.8", "--grid-n", "12"],
-                  "b010a9d861fbee153f2646ed3759000e75c24ec574626821596b68da2f82bc82",
+                  "c5a62edbf7e6f5fadcc4cddfeb8a05247643ab102e067cccfd8b2a5338f4ae91",
                   "command=distance-cdf\ngrid_n=12\nref_x=1.0\nref_y=0.8\nside=1.0\n"),
     "cdf-outer": (["distance-cdf", "--side", "2", "--ref-x", "3", "--ref-y", "3",
                    "--grid-n", "12"],
-                  "ca21634a4b84da6d32615f44a061660b6dcd446114ad62cc0821ea18480c9a66",
+                  "5db9887802f2ed71dea96368def2fbcb877fcb006059410480951f84f47b4501",
                   "command=distance-cdf\ngrid_n=12\nref_x=3.0\nref_y=3.0\nside=2.0\n"),
     "simulate": (["simulate", "--ref-x", "1", "--ref-y", "0.8", "--duration", "500",
                   "--seed", "77"],
@@ -494,7 +494,7 @@ def test_compare_output_pinned(pinned_outputs, capsys):
     rc = main(["compare", str(pinned_outputs / "cdf-inner.csv"),
                str(pinned_outputs / "simulate.csv")])
     assert rc == 1
-    assert capsys.readouterr().out == ("ks_statistic=0.086660681431024233\n"
+    assert capsys.readouterr().out == ("ks_statistic=0.086660681431026565\n"
                                        "max_gap_at_d=0.54996007609053887\n"
                                        "threshold=0.050000000000000003\n"
                                        "result=fail\n")

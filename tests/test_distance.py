@@ -257,7 +257,7 @@ def test_headline_curves_are_pinned():
             scaled = RefNode(Point2(ref.pos.x * side, ref.pos.y * side))
             values = [rp.distance_cdf(scaled, side, d * side) for d in curve.d_values[::10]]
             h.update(np.array(values).tobytes())
-    assert h.hexdigest() == "e871b6325957987c3feaa384b32fc1fef02f4549da118d623a68827bfee399ca"
+    assert h.hexdigest() == "2be3b15a6b667950ffbd24164db3b85e1b73ecd64414692223177358f7303836"
 
 
 def _sweep_nodes():
@@ -288,7 +288,7 @@ def test_node_sweep_is_pinned():
                   d_min * (1 + 1e-12)]
             h.update(curve.cdf_values.tobytes())
             h.update(np.array([rp.distance_cdf(ref, side, float(d)) for d in ds]).tobytes())
-    assert h.hexdigest() == "24c052cd90a4c310a57047b511962810b8c0dade2d83f96eabd0e4782081535c"
+    assert h.hexdigest() == "792ffe8cf82357b4834731f0e82cf570dc1dd461f17af6dba732991bd4a8440c"
 
 
 class TestQuadOracle:
@@ -299,6 +299,28 @@ class TestQuadOracle:
         for frac in (0.3, 0.7):
             d = d_min + frac * (d_max - d_min)
             assert abs(rp.distance_cdf(ref, 1.0, d) - quad_distance_cdf(ref.pos, d)) <= 1e-12
+
+
+def _mirror_nodes():
+    """The four paper nodes, three edge midpoints, three vertices, three
+    exterior nodes and eleven seeded nodes around the cell."""
+    nodes = [(ref.pos.x, ref.pos.y) for ref in PAPER_NODES.values()]
+    nodes += [(0.25, SQRT3 / 4), (1.0, 0.0), (1.75, 3 * SQRT3 / 4)]
+    nodes += [(1.5, 0.0), (2.0, SQRT3 / 2), (0.0, SQRT3 / 2)]
+    nodes += [(-1.0, 0.3), (2.5, 2.0), (1.0, -0.5)]
+    rng = np.random.default_rng(16)
+    return nodes + [tuple(p) for p in rng.uniform((-1.0, -1.0), (3.0, 2.7), (11, 2))]
+
+
+@pytest.mark.parametrize("x, y", _mirror_nodes())
+def test_product_model_is_mirror_invariant(x, y):
+    # f_X is symmetric about x = 1 and f_Y about y = sqrt(3)/2, so the node's
+    # three mirror images see the same distance CDF
+    curves = [rp.distance_cdf_curve(RefNode(Point2(mx, my)), 1.0, 200)
+              for mx, my in ((x, y), (2.0 - x, y), (x, SQRT3 - y), (2.0 - x, SQRT3 - y))]
+    for curve in curves[1:]:
+        assert np.abs(curve.d_values - curves[0].d_values).max() <= 1e-14
+        assert np.abs(curve.cdf_values - curves[0].cdf_values).max() <= 1e-14
 
 
 class TestExactEnds:

@@ -190,13 +190,13 @@ class TestStationaryCdf:
         assert m.stationary_cdf.domain == (0.0, hi * side)
         assert getattr(rp, f"stationary_cdf_{axis}")(0.5 * hi * side, side) == pytest.approx(
             0.5, abs=1e-15)
-        # within the side-1 tables' rounding, as in test_marginals_at_any_side
+        # within an ulp or two of the argument, as in test_marginals_at_any_side
         unit = rp.axis_marginal(axis, 1.0)
         for frac in (0.1, 0.3, 0.9):
             assert m.stationary_cdf(frac * hi * side) == pytest.approx(
-                unit.stationary_cdf(frac * hi), abs=5e-14)
+                unit.stationary_cdf(frac * hi), abs=1e-15)
             assert m.stationary_pdf(frac * hi * side) * side == pytest.approx(
-                unit.stationary_pdf(frac * hi), abs=5e-14)
+                unit.stationary_pdf(frac * hi), abs=1e-15)
 
     @pytest.mark.parametrize("side", [1e-61, 1e60])
     def test_midpoint_at_ends_of_table_range(self, side):
@@ -256,6 +256,27 @@ class TestExactTables:
         assert coeffs == [0, 0, 1, Fraction(-2, 3)]
         assert all(type(c) is Fraction for c in coeffs)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_side_one_tables_match_exact_evaluation(self, axis):
+        # every field against its exact pieces in u, evaluated in Fraction at
+        # u = t / alpha, where alpha is the float SQRT3 that spans the cell
+        breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
+        alpha = Fraction(1) if axis == "x" else Fraction(SQRT3)
+        expected, branches = _leg_below(breaks, pieces)
+        cdf = [np.array(b, dtype=object) / expected for b in branches]
+        exact = {"waypoint_pdf": (pieces, 1 / alpha), "partial_leg": (branches, alpha),
+                 "stationary_cdf": (cdf, 1),
+                 "stationary_pdf": ([np.polynomial.polynomial.polyder(c) for c in cdf], 1 / alpha)}
+        bp = _unit_tables(axis)["stationary_cdf"].breakpoints
+        t = np.concatenate((bp, np.nextafter(bp[1:], -np.inf), np.nextafter(bp[:-1], np.inf),
+                            np.random.default_rng(26).uniform(bp[0], bp[-1], 2000)))
+        for name, (exact_pieces, factor) in exact.items():
+            for v, got in zip(t.tolist(), _unit_tables(axis)[name](t).tolist()):
+                u = Fraction(v) / alpha
+                piece = exact_pieces[sum(u >= b for b in breaks[1:-1])]
+                want = sum(c * u**k for k, c in enumerate(piece)) * factor
+                assert abs(Fraction(got) - want) <= 4.5e-16, (name, v)
+
     def test_side_one_tables_are_pinned(self):
         # SHA-256 of the side-1 tables in cell coordinates that every side
         # reads, so any change to a coefficient's last bit shows up here
@@ -265,4 +286,4 @@ class TestExactTables:
                 table = _unit_tables(axis)[name]
                 h.update(table.breakpoints.tobytes())
                 h.update(table._table.tobytes())
-        assert h.hexdigest() == "bf25e855dc13af031e44cc76f9fef9afac96e6b3f0d23328cd255a089377c4b4"
+        assert h.hexdigest() == "c60f681cc0c589ae4d8c64f3767860c18eeddbc31d0d8f3bb7984039b549364b"

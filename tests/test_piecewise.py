@@ -51,11 +51,13 @@ def test_needs_two_breakpoints():
 
 
 def per_piece_polyval(pp, t):
-    """Reference: npoly.polyval on each piece's own points."""
+    """Reference: npoly.polyval on each piece's own points, about its origin:
+    its left breakpoint, or the top end for the last piece."""
     idx = np.clip(np.searchsorted(pp.breakpoints, t, side="right") - 1, 0, len(pp.coeffs) - 1)
     out = np.empty_like(t)
     for i, c in enumerate(pp.coeffs):
-        out[idx == i] = npoly.polyval(t[idx == i], c)
+        origin = pp.breakpoints[-1 if i == len(pp.coeffs) - 1 else i]
+        out[idx == i] = npoly.polyval(t[idx == i] - origin, c)
     return out
 
 

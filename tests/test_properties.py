@@ -106,6 +106,37 @@ def test_distance_cdf_curve(kw):
     assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= -1e-12)
 
 
+def _at_both_ends(test):
+    """Explicit examples at side 1: each axis at both domain ends and a float
+    inside the top end, where a field nears 0 or 1 by cancellation."""
+    for axis in ("x", "y"):
+        for frac in (0.0, 1.0, math.nextafter(1.0, 0.0)):
+            test = example(axis=axis, exponent=0.0, frac=frac)(test)
+    return test
+
+
+@PROPERTY
+@given(axis=st.sampled_from(("x", "y")), exponent=st.floats(-307.0, 307.0),
+       frac=st.floats(0.0, 1.0))
+@_at_both_ends
+def test_marginal_fields_in_range(axis, exponent, frac):
+    m = rp.axis_marginal(axis, 10.0 ** exponent)
+    t = frac * m.stationary_cdf.domain[1]
+    assert 0.0 <= m.stationary_cdf(t) <= 1.0
+    assert m.stationary_pdf(t) >= 0.0 and m.waypoint_pdf(t) >= 0.0
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_marginal_ends_are_exact(axis):
+    # at side 1 the CDF runs from exactly 0 to exactly 1, and the density
+    # is +0.0, not -0.0, at both ends
+    m = rp.axis_marginal(axis, 1.0)
+    lo, hi = m.stationary_cdf.domain
+    assert m.stationary_cdf(lo) == 0.0 and m.stationary_cdf(hi) == 1.0
+    for t in (lo, hi):
+        assert m.stationary_pdf(t) == 0.0 and math.copysign(1.0, m.stationary_pdf(t)) == 1.0
+
+
 @PROPERTY
 @given(x=st.one_of(coords, anything), y=st.one_of(coords, anything), side=sides)
 @with_non_numbers("x", 0.5, y=0.25, side=1.0)

@@ -233,16 +233,16 @@ def test_distance_extremes_at_any_side(exponent, x, y):
        frac=st.floats(min_value=0.0, max_value=1.0))
 def test_marginals_at_any_side(axis, exponent, frac):
     # every side reads the side-1 tables at t / side: no side in the float
-    # range is refused for the size of its coefficients.  t / side may be a
-    # neighbour of frac * hi, where the side-1 tables move by up to 1.7e-14
-    # (x CDF) and 2.8e-14 (x PDF), from rounding in Horner's rule
+    # range is refused for the size of its coefficients.  t / side may be an
+    # ulp or two from frac * hi, which moves a field by that times its slope
+    # (at most 1.7), and the density's factor rounds once more
     side = 10.0 ** exponent
     hi = UPPER[axis]
     m, unit = rp.axis_marginal(axis, side), rp.axis_marginal(axis, 1.0)
     assert m.stationary_cdf(frac * hi * side) == pytest.approx(
-        unit.stationary_cdf(frac * hi), abs=5e-14)
+        unit.stationary_cdf(frac * hi), abs=1e-15)
     assert m.stationary_pdf(frac * hi * side) * side == pytest.approx(
-        unit.stationary_pdf(frac * hi), abs=5e-14)
+        unit.stationary_pdf(frac * hi), abs=1e-15)
 
 
 def test_kept_wrappers_are_bit_identical():
@@ -254,7 +254,7 @@ def test_kept_wrappers_are_bit_identical():
               for kind in ("cdf", "pdf") for axis in ("x", "y")
               for side in (0.5, 1.0, 2.0, 10.0) for c in probes[axis]]
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
-    assert digest == "2436e628d6e9f9fd42ba429acdc0ce5d57b8f43af27c90fc7fd6f8cbe61b3fc7"
+    assert digest == "11899f9702135773e9372b4430c9a3105e4595d3e73c85953e05f622446d5980"
 
 
 # numpy's text and complex numbers and a Decimal, which no entry refused

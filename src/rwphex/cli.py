@@ -98,7 +98,7 @@ def cmd_simulate(args):
     HexRegion(args.side).distance_extremes(ref)
     trace = simulate(config)
     return (("d", "ecdf"), ecdf(distances_to(trace, ref)).steps(),
-            {"legs": len(trace.waypoints) - 1, "samples": len(trace)})
+            {"legs": trace.legs, "samples": len(trace)})
 
 
 def cmd_baseline(args):

@@ -17,7 +17,9 @@ so most of the intervals between sorted cuts have zero width.  The rule is
 applied only to the intervals of nonzero width, gathered from a block of up
 to 256 d values and laid out node-major: row j of every integrand array
 holds the j-th Gauss node of each interval, one column per interval, and
-``row`` remembers each column's d.  Per-interval operands (the column's d,
+``row`` remembers each column's d.  Its size is the block's share of
+``CdfCurve.intervals``, the curve's work: 16 integrand nodes per interval.
+Per-interval operands (the column's d,
 the tables' coefficients) then broadcast along rows of thousands of points
 instead of through one 16-point inner loop per interval.
 The integrand runs once on the whole array, so a 200-point curve is one
@@ -45,8 +47,9 @@ and |w|**2) is computed once per call in Python floats; constant operands
 are arrays of the other operand's shape or 0-d; and ``_slice_mass``, which
 clips every argument into the tables' domains, reads the tables with
 ``_clamped=True``, which skips their domain check and clamp.  That read
-still goes through ``PiecewisePolynomial.__call__``, the one method the
-benchmark's tracer wraps to count table evaluations.
+still goes through ``PiecewisePolynomial.__call__``, the method the
+benchmark's tracer wraps to infer table work.  The library's own count is
+``CdfCurve.intervals``; ``_clamped`` stays only until the tracer reads it.
 """
 
 from __future__ import annotations
@@ -96,10 +99,14 @@ _EDGE_X0_LIST = [ax for ax, _, _, _ in _UNIT_EDGES] * 2
 
 @dataclass(frozen=True)
 class CdfCurve:
+    """A sampled distance CDF, and the number of cut intervals integrated to
+    build it, each at ``len(_NODES)`` (16) nodes; 0 for a curve built by hand."""
+
     d_values: np.ndarray
     cdf_values: np.ndarray
     ref: RefNode
     side: float
+    intervals: int = 0
 
 
 def _rule(lo, hi):
@@ -181,7 +188,8 @@ def _hexagon_mass() -> float:
 
 
 def _disk_mass(x1: float, y1: float, d):
-    """Mass of f_X * f_Y on hexagon intersect disk(ref, d) for each d > 0 of a 1-D array."""
+    """Mass of f_X * f_Y on hexagon intersect disk(ref, d) for each d > 0 of a
+    1-D array, and the number of cut intervals integrated."""
     d = d[:, None]
     # The node's share of the cuts, once per call in Python floats.  Each
     # two-term sum starts at +0.0, as numpy's sum over a row does, so a zero
@@ -233,17 +241,21 @@ def _disk_mass(x1: float, y1: float, d):
     ylo = y1 - c
     yhi = np.add(c, y1, out=c)
     weight *= _slice_mass(x, ylo, yhi)
-    return np.bincount(row, weights=_panel_sum(weight), minlength=len(d))
+    return np.bincount(row, weights=_panel_sum(weight), minlength=len(d)), row.size
 
 
 def _cdf(x1: float, y1: float, d, d_min: float, d_max: float):
-    """Distance CDF at side 1 for each d in an array, given the node's extremes there."""
+    """Distance CDF at side 1 for each d in an array, given the node's extremes
+    there, and the number of cut intervals integrated."""
     out = np.where(d >= d_max, 1.0, 0.0)
     inner = np.flatnonzero((d > d_min) & (d < d_max))
+    intervals = 0
     for i in range(0, inner.size, _BLOCK):
         idx = inner[i:i + _BLOCK]
-        out[idx] = _clip(_disk_mass(x1, y1, d[idx]) / _hexagon_mass(), 0.0, 1.0)
-    return out
+        mass, k = _disk_mass(x1, y1, d[idx])
+        out[idx] = _clip(mass / _hexagon_mass(), 0.0, 1.0)
+        intervals += k
+    return out, intervals
 
 
 def product_mass_hexagon(ref: RefNode, a: float) -> float:
@@ -263,7 +275,7 @@ def distance_cdf(ref: RefNode, a: float, d: float) -> float:
         return 1.0
     if d <= d_min:
         return 0.0
-    value = float(_disk_mass(x1, y1, np.array([d]))[0]) / _hexagon_mass()
+    value = float(_disk_mass(x1, y1, np.array([d]))[0][0]) / _hexagon_mass()
     # _clip's result: max and min keep their first argument on a tie, so a
     # -0.0 stays -0.0
     return min(max(value, 0.0), 1.0)
@@ -276,5 +288,5 @@ def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     if not math.isfinite(a * d_max):
         raise ValueError("reference node is too far from a cell of this side")
     grid = np.linspace(d_min, d_max, n_points)
-    return CdfCurve(d_values=a * grid, cdf_values=_cdf(x1, y1, grid, d_min, d_max),
-                    ref=ref, side=a)
+    cdf, intervals = _cdf(x1, y1, grid, d_min, d_max)
+    return CdfCurve(d_values=a * grid, cdf_values=cdf, ref=ref, side=a, intervals=intervals)

@@ -39,7 +39,9 @@ A caller whose array already lies inside the domain, such as the distance
 integrand, passes ``_clamped=True`` and goes straight to ``_horner``: that
 saves two reductions and two clamp passes per call.  It still calls
 ``__call__``, where the benchmark's tracer counts table evaluations; a
-marginal field calls ``_at``, which that count leaves out.  Any other
+marginal field calls ``_at``, which that count leaves out.  The library's
+own count of the integrand's work is ``CdfCurve.intervals``, and
+``_clamped`` stays only until the tracer reads that count.  Any other
 argument must be real by ``_float_array``'s rule, the one the whole library
 applies: a bool, int or float dtype, or ``numbers.Real`` objects.  Anything
 else raises ``ValueError``, and an int beyond the float range
@@ -51,7 +53,9 @@ side-1 table.  No table is rescaled: an ``AxisMarginal`` field at side a
 reads its side-1 table through ``_at(t, a)``, which converts t, divides it
 by a, checks t / a against the domain and names the domain times a in its
 ``DomainError``.  That is the one check of a field's argument; ``__call__``
-is ``_at`` at side 1.
+is ``_at`` at side 1.  A t at or above the domain's top as reported, hi * a,
+reads the table at hi: (hi * a) / a can round one ulp below hi, and a field
+that is 0 at hi would not be 0 there.
 """
 
 from __future__ import annotations
@@ -156,26 +160,30 @@ class PiecewisePolynomial:
         return self._at(t, 1.0)
 
     def _at(self, t, side):
-        """Values at ``t / side``; DomainError, naming the domain times ``side``,
-        for NaN or a ``t / side`` outside the domain."""
-        lo, hi, tol = self._lo, self._hi, self._tol
+        """Values at ``t / side``, and at the top for a ``t`` at or above the top
+        times ``side``; DomainError, naming the domain times ``side``, for NaN
+        or a ``t / side`` outside the domain."""
+        lo, hi, tol, top = self._lo, self._hi, self._tol, self._hi * side
         if not isinstance(t, (float, int)):
             t = _float_array(t)
             if t.ndim:
                 with np.errstate(over="ignore"):  # an overflowing t / side is outside anyway
-                    t = t / side
+                    u = t / side
                 # min and max propagate NaN, which fails both comparisons
-                if t.size and not (t.min() >= lo - tol and t.max() <= hi + tol):
-                    raise DomainError(f"argument outside domain [{lo * side}, {hi * side}]")
+                if u.size and not (u.min() >= lo - tol and u.max() <= hi + tol):
+                    raise DomainError(f"argument outside domain [{lo * side}, {top}]")
                 # np.clip's order, so that a tie keeps the argument's zero sign
-                return self._horner(np.minimum(hi, np.maximum(lo, t)))
+                u = np.minimum(hi, np.maximum(lo, u))
+                u[t >= top] = hi
+                return self._horner(u)
         try:
-            t = float(t) / side
+            t = float(t)
+            u = t / side
         except OverflowError:  # an int beyond the float range fails the check below
-            t = math.nan
-        if not (lo - tol <= t <= hi + tol):
-            raise DomainError(f"argument outside domain [{lo * side}, {hi * side}]")
-        t = min(max(t, lo), hi)
+            u = math.nan
+        if not (lo - tol <= u <= hi + tol):
+            raise DomainError(f"argument outside domain [{lo * side}, {top}]")
+        t = hi if t >= top else min(max(u, lo), hi)
         origin, piece = self._pieces[bisect_right(self._inner, t)]
         s = t - origin
         out = piece[0]

@@ -100,7 +100,7 @@ class Trace:
 
     ``waypoints`` holds the leg endpoints actually visited (the uniform
     start followed by each destination), for diagnostics on waypoint
-    uniformity.  Each array field holds the float array it was checked as:
+    uniformity, and ``legs`` counts the legs between them.  Each array field holds the float array it was checked as:
     real, of shape (n, 2) with n >= 1.  A float64 array is kept as it is,
     with no pass over its values.
     """
@@ -123,6 +123,11 @@ class Trace:
 
     def __len__(self):
         return len(self.positions)
+
+    @property
+    def legs(self) -> int:
+        """The number of legs: one per waypoint after the start."""
+        return len(self.waypoints[1:])
 
 
 def _legs(config: SimConfig, rng: np.random.Generator):

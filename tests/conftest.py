@@ -259,7 +259,8 @@ def quad_product_mass(ref=None, d=None):
         lo, hi, kinks = 0.0, 2.0, [0.5, 1.5]
     else:
         lo, hi = max(0.0, ref[0] - d), min(2.0, ref[0] + d)
-        kinks = [x for x in _disk_kinks(ref, d) if lo < x < hi]
+        # a kink within 1e-12 of an end would leave quad a sliver panel
+        kinks = [x for x in _disk_kinks(ref, d) if lo + 1e-12 < x < hi - 1e-12]
     if hi <= lo:
         return 0.0
     return quad(inner, lo, hi, points=kinks or None, **tol)[0]

@@ -31,6 +31,8 @@ class TestMarginalsCommand:
         assert header == ["coord", "pdf", "cdf"]
         assert np.allclose(data[:, 0], [0.0, 1.0, 2.0])
         assert np.allclose(data[:, 2], [0.0, 0.5, 1.0], atol=1e-12)
+        # at the cell's top the density is exactly 0 and the CDF exactly 1
+        assert out.read_text().splitlines()[-1] == "2,0,1"
 
     def test_y_last_row_is_one(self, tmp_path):
         out = tmp_path / "my.csv"
@@ -38,6 +40,7 @@ class TestMarginalsCommand:
         _, data = read_csv(out)
         assert data[-1, 0] == pytest.approx(SQRT3, rel=1e-12)
         assert data[-1, 2] == pytest.approx(1.0, rel=1e-12)
+        assert out.read_text().splitlines()[-1] == "1.7320508075688772,0,1"
 
     @pytest.mark.parametrize("axis,side", [("x", "1e300"), ("y", "1e-300")])
     def test_side_far_from_one_answers(self, tmp_path, axis, side):
@@ -104,6 +107,7 @@ class TestDistanceCdfCommand:
         assert rc == 0
         header, data = read_csv(out)
         assert header == ["d", "cdf"]
+        assert data.shape == (12, 2)
         assert data[0, 0] == 0.0
         assert np.all(np.diff(data[:, 1]) >= -1e-8)
 
@@ -150,6 +154,8 @@ class TestSimulateCommand:
         header, data = read_csv(out)
         assert header == ["d", "ecdf"]
         assert data[:, 0].size <= 11
+        # one row per distinct d: both columns strictly increase
+        assert np.all(np.diff(data, axis=0) > 0)
         assert data[-1, 1] == 1.0
 
     def test_seed_reproducibility_byte_identical(self, tmp_path):
@@ -235,7 +241,8 @@ class TestBaselineCommand:
         out = tmp_path / "base.csv"
         assert main(["baseline", "--ref-x", "0", "--ref-y", "0", "--n", "1",
                      "--seed", "3", "--out", str(out)]) == 0
-        _, data = read_csv(out)
+        header, data = read_csv(out)
+        assert header == ["d", "ecdf"]
         assert data.shape == (1, 2)
         assert data[0, 1] == 1.0
 
@@ -298,6 +305,7 @@ class TestCompareCommand:
         assert main(["compare", str(out), str(out)]) == 0
         captured = capsys.readouterr().out
         assert "ks_statistic=0" in captured
+        assert "result=pass" in captured.splitlines()
 
     def test_analytic_vs_simulation_passes(self, tmp_path):
         cdf = tmp_path / "cdf.csv"

@@ -129,7 +129,7 @@ class TestScalarMatchesCurve:
         d_min, d_max = HexRegion(1.0).distance_extremes(ref)
         ends = [d_min, np.nextafter(d_min, np.inf), d_max, np.nextafter(d_max, 0.0)]
         (x1, y1), _, _ = _unit_extremes(ref, 1.0)
-        want = distance._cdf(x1, y1, np.array(ends), d_min, d_max)
+        want, _ = distance._cdf(x1, y1, np.array(ends), d_min, d_max)
         got = [rp.distance_cdf(ref, 1.0, float(d)) for d in ends]
         assert np.array(got).tobytes() == want.tobytes()
         assert got[0] == 0.0 and got[2] == 1.0
@@ -220,10 +220,45 @@ class TestDistanceCdfCurve:
             assert 0.0 <= rp.distance_cdf(FAR, 1.0, float(d)) <= 1.0
 
 
+class TestWorkCount:
+    @staticmethod
+    def _rule_columns(monkeypatch, call):
+        """The columns ``_rule`` receives while ``call`` runs, counted by a spy."""
+        columns = []
+        rule = distance._rule
+
+        def counted(lo, hi):
+            columns.append(np.size(lo))
+            return rule(lo, hi)
+
+        _hexagon_mass()  # cached, so its panels are not counted
+        monkeypatch.setattr(distance, "_rule", counted)
+        result = call()
+        monkeypatch.undo()
+        return result, sum(columns)
+
+    @pytest.mark.parametrize("name, intervals", [("corner", 948), ("centre", 646),
+                                                 ("vertex", 920), ("exterior", 1217)])
+    def test_paper_curves(self, monkeypatch, name, intervals):
+        curve, columns = self._rule_columns(
+            monkeypatch, lambda: rp.distance_cdf_curve(PAPER_NODES[name], 1.0, 200))
+        assert type(curve.intervals) is int
+        assert curve.intervals == columns == intervals
+
+    def test_curve_of_several_blocks(self, monkeypatch):
+        curve, columns = self._rule_columns(
+            monkeypatch, lambda: rp.distance_cdf_curve(VERTEX, 2.5, 3 * _BLOCK + 5))
+        assert curve.intervals == columns > 3 * _BLOCK
+
+    def test_curve_built_by_hand_counts_nothing(self):
+        curve = rp.CdfCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), CENTER, 1.0)
+        assert curve.intervals == 0
+
+
 class TestMassInternals:
     def test_disk_none_equals_large_disk(self):
         full = _hexagon_mass()
-        big = _disk_mass(*CENTER.pos, np.array([10.0]))[0]
+        big = _disk_mass(*CENTER.pos, np.array([10.0]))[0][0]
         assert big == pytest.approx(full, abs=1e-8)
 
 
@@ -299,6 +334,16 @@ class TestQuadOracle:
         for frac in (0.3, 0.7):
             d = d_min + frac * (d_max - d_min)
             assert abs(rp.distance_cdf(ref, 1.0, d) - quad_distance_cdf(ref.pos, d)) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-7, 1e-6])
+    def test_matches_nested_quad_near_a_vertex(self, offset):
+        # the disk meets y = sqrt(3)/2 less than 1e-12 left of its right end,
+        # x1 + d: a kink kept there gave quad a sliver panel, an
+        # IntegrationWarning and an error of up to 3e-6
+        pos = (offset, SQRT3 / 2 + offset)
+        ref = RefNode(Point2(*pos))
+        for d in (1.2, 1.49, 1.5, 1.7):
+            assert abs(rp.distance_cdf(ref, 1.0, d) - quad_distance_cdf(pos, d)) <= 1e-12
 
 
 def _mirror_nodes():

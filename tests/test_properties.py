@@ -137,6 +137,24 @@ def test_marginal_ends_are_exact(axis):
         assert m.stationary_pdf(t) == 0.0 and math.copysign(1.0, m.stationary_pdf(t)) == 1.0
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_marginal_tops_are_exact_at_every_side(axis):
+    # the reported top hi * a reads the side-1 table's top, though (hi * a) / a
+    # rounds one ulp below sqrt(3) at about 9% of sides, where the y density
+    # read up to 3.3e-16 / a
+    fields = ("waypoint_pdf", "stationary_pdf", "stationary_cdf", "partial_leg")
+    unit = rp.axis_marginal(axis, 1.0)
+    tops = {name: getattr(unit, name)(getattr(unit, name).domain[1]) for name in fields}
+    assert tops["stationary_pdf"] == 0.0
+    for side in 10.0 ** np.random.default_rng(27).uniform(-300.0, 300.0, 1000):
+        m = rp.axis_marginal(axis, side)
+        top = m.stationary_cdf.domain[1]
+        for name in fields:
+            field, want = getattr(m, name), tops[name] * getattr(m, name).factor
+            assert field(top) == want and field(np.array([0.0, top]))[1] == want, (side, name)
+        assert math.copysign(1.0, m.stationary_pdf(top)) == 1.0
+
+
 @PROPERTY
 @given(x=st.one_of(coords, anything), y=st.one_of(coords, anything), side=sides)
 @with_non_numbers("x", 0.5, y=0.25, side=1.0)

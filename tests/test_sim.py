@@ -65,6 +65,7 @@ class TestSimulate:
     def test_zero_duration_single_position(self):
         trace = rp.simulate(rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=0.0))
         assert len(trace) == 1
+        assert trace.legs == 0 and len(trace.waypoints) == 1
 
     def test_sample_count(self):
         trace = rp.simulate(rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=10.0))
@@ -148,7 +149,7 @@ def long_trace():
 
 class TestLegBlocks:
     def test_spans_several_blocks(self, long_trace):
-        assert len(long_trace.waypoints) - 1 > sim.LEG_BLOCK
+        assert long_trace.legs > sim.LEG_BLOCK
 
     def test_speed_bound(self, long_trace):
         step = np.hypot(*np.diff(long_trace.positions, axis=0).T)
@@ -171,7 +172,9 @@ class TestLegBlocks:
         assert starts[0] == 0.0 and np.all(durs > 0)
         assert np.array_equal(starts[1:], starts[:-1] + durs[:-1])
         assert starts[-1] < duration <= starts[-1] + durs[-1]
-        assert np.array_equal(rp.simulate(config).waypoints, waypoints)
+        trace = rp.simulate(config)
+        assert np.array_equal(trace.waypoints, waypoints)
+        assert trace.legs == len(starts) == len(trace.waypoints) - 1
 
     def test_seed_determinism(self, long_trace):
         again = rp.simulate(long_trace.config)

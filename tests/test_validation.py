@@ -465,7 +465,9 @@ def test_trace_keeps_the_float_arrays():
     trace = rp.simulate(_CONFIG)
     kept = rp.Trace(trace.positions, trace.waypoints, trace.config)
     assert kept.positions is trace.positions and kept.waypoints is trace.waypoints
+    assert kept.legs == trace.legs == len(trace.waypoints) - 1
     listed = rp.Trace([[0, 0.5], [Fraction(1, 4), True]], [(0.0, 0.0)], _CONFIG)
+    assert listed.legs == 0  # one waypoint: the start, and no leg
     for arr in (listed.positions, listed.waypoints):
         assert type(arr) is np.ndarray and arr.dtype == float and arr.shape[1] == 2
     assert listed.positions.tolist() == [[0.0, 0.5], [0.25, 1.0]] and len(listed) == 2

@@ -1,6 +1,6 @@
 """Exact block-wise ``format(v, ".17g")`` for tables of floats.
 
-``csv_rows`` turns a float table into CSV rows, a block at a time, and
+``csv_rows`` turns float columns into CSV rows, a block at a time, and
 each value's text is the bytes of ``format(v, ".17g")``.
 
 A finite ``v > 0`` whose ``%g`` exponent E, taken after rounding to 17
@@ -179,16 +179,16 @@ def _format_block(values, seps):
     return buf.tobytes().translate(None, b"\0 ")
 
 
-def csv_rows(table):
-    """Yield the CSV rows of a 2-d float table, ``ROWS_PER_BLOCK`` rows at a
-    time, as bytes; each value reads as ``format(v, ".17g")`` and each row
-    ends with a newline."""
-    table = np.asarray(table, dtype=float)
+def csv_rows(columns):
+    """Yield the CSV rows of equal-length float columns, ``ROWS_PER_BLOCK``
+    rows at a time, as bytes; each value reads as ``format(v, ".17g")`` and
+    each row ends with a newline.  Only one block of rows is stacked at once."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
     rows = ROWS_PER_BLOCK
-    seps = np.full(table.shape[1], ord(","), _U64)
+    seps = np.full(len(columns), ord(","), _U64)
     seps[0] = ord("\n")
     seps = np.tile(seps, rows)
     seps[0] = 0                 # a block starts after a newline
-    for lo in range(0, len(table), rows):
-        block = table[lo:lo + rows].ravel()
+    for lo in range(0, len(columns[0]), rows):
+        block = np.column_stack([c[lo:lo + rows] for c in columns]).ravel()
         yield _format_block(block, seps[:block.size])

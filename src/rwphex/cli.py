@@ -40,14 +40,13 @@ def _write_csv(path, header, *columns):
     """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``.
 
     ``_fmt.csv_rows`` gives those bytes a block of rows at a time, so only
-    one block's text is held at once.  ValueError if the file cannot be
-    written.
+    one block's rows and text are held at once.  ValueError if the file
+    cannot be written.
     """
-    table = np.column_stack(columns)
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for block in csv_rows(table):
+            for block in csv_rows(columns):
                 fh.write(block)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
@@ -97,8 +96,10 @@ def cmd_simulate(args):
                        seed=args.seed)
     HexRegion(args.side).distance_extremes(ref)
     trace = simulate(config)
-    return (("d", "ecdf"), ecdf(distances_to(trace, ref)).steps(),
-            {"legs": trace.legs, "samples": len(trace)})
+    extra = {"legs": trace.legs, "samples": len(trace)}
+    emp = ecdf(distances_to(trace, ref))
+    del trace  # the table needs only the sorted distances
+    return ("d", "ecdf"), emp.steps(), extra
 
 
 def cmd_baseline(args):
@@ -141,9 +142,10 @@ def _read_curve(path):
     if not np.isfinite(data).all():
         raise ValueError(f"cannot parse {path}: values must be finite")
     d, v = data[:, 0], data[:, 1]
-    if np.any(np.diff(d) < 0):
+    if np.any(d[1:] < d[:-1]):
         raise ValueError(f"{path}: d column must be sorted")
-    return d, v
+    # contiguous, so np.interp copies neither
+    return np.ascontiguousarray(d), np.ascontiguousarray(v)
 
 
 def cmd_compare(args) -> int:
@@ -156,8 +158,12 @@ def cmd_compare(args) -> int:
     if hi <= lo:
         raise ValueError("curves have no overlapping d-range")
     # equal d give equal gaps, and argmax takes the first in sorted order
-    grid = np.sort(np.clip(np.concatenate((da, de)), lo, hi))
-    gap = np.abs(np.interp(grid, da, va) - np.interp(grid, de, ve))
+    grid = np.concatenate((da, de))
+    np.clip(grid, lo, hi, out=grid)
+    grid.sort()
+    gap = np.interp(grid, da, va)
+    gap -= np.interp(grid, de, ve)
+    np.abs(gap, out=gap)
     k = int(np.argmax(gap))
     ks = float(gap[k])
     print(f"ks_statistic={ks:.17g}")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
@@ -11,7 +12,7 @@ import pytest
 import rwphex
 from rwphex import __version__, sim
 from rwphex._fmt import ROWS_PER_BLOCK
-from rwphex.cli import _write_csv, main
+from rwphex.cli import EXIT_COMPARE_FAIL, EXIT_OK, _write_csv, main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -506,3 +507,42 @@ def test_compare_output_pinned(pinned_outputs, capsys):
                                        "max_gap_at_d=0.54996007609053887\n"
                                        "threshold=0.050000000000000003\n"
                                        "result=fail\n")
+
+
+def traced_peak(argv):
+    """``main(argv)``'s exit code and its peak traced memory, in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """simulate holds the trace, then the sorted distances and the table's two
+    columns; compare holds each table's two columns, the grid and the gap."""
+
+    SAMPLES = 200_001
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("peak")
+        sim_csv, cdf_csv = str(out / "sim.csv"), str(out / "cdf.csv")
+        ref = ["--ref-x", "0", "--ref-y", str(SQRT3 / 2)]
+        assert main(["distance-cdf", *ref, "--out", cdf_csv]) == 0
+        rc, peak = traced_peak(["simulate", *ref, "--duration", str(self.SAMPLES - 1),
+                                "--seed", "11", "--out", sim_csv])
+        assert rc == 0
+        return cdf_csv, sim_csv, peak
+
+    def test_simulate_per_sample(self, tables):
+        peak = tables[2]
+        assert peak <= 40 * self.SAMPLES, f"{peak / self.SAMPLES:.1f} B/sample"
+
+    def test_compare_per_row(self, tables, capsys):
+        cdf_csv, sim_csv, _ = tables
+        with open(sim_csv) as fh:
+            rows = sum(1 for _ in fh) - 1
+        rc, peak = traced_peak(["compare", cdf_csv, sim_csv])
+        assert rc in (EXIT_OK, EXIT_COMPARE_FAIL), capsys.readouterr().err
+        assert peak <= 56 * rows, f"{peak / rows:.1f} B/row"

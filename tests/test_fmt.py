@@ -19,7 +19,7 @@ def reference(table):
 
 def formatted(table, rows_per_block=ROWS_PER_BLOCK):
     with mock.patch.object(_fmt, "ROWS_PER_BLOCK", rows_per_block):
-        return b"".join(csv_rows(table))
+        return b"".join(csv_rows(table.T))
 
 
 def assert_exact(values, ncols=1, rows_per_block=64):

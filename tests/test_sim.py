@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,6 +252,60 @@ class TestClockSampling:
         assert positions.shape == (int(duration) + 1, 2)
         assert positions[:, 0].flags.c_contiguous
         assert positions[:, 1].flags.c_contiguous
+
+
+class TestClockBlocks:
+    """The clock is sampled SAMPLE_BLOCK samples at a time; no block edge moves a bit."""
+
+    @pytest.mark.parametrize("block, n", [
+        (1, 3001), (7, 3001),
+        (100, 2999), (100, 3000), (100, 3001),  # n = 30 blocks, -1 and +1
+        (sim.SAMPLE_BLOCK, 3 * sim.SAMPLE_BLOCK - 1),
+        (sim.SAMPLE_BLOCK, 3 * sim.SAMPLE_BLOCK),
+        (sim.SAMPLE_BLOCK, 3 * sim.SAMPLE_BLOCK + 1),
+    ])
+    def test_matches_gather_reference(self, monkeypatch, block, n):
+        config = paper_config(seed=77, duration=n - 1)
+        monkeypatch.setattr(sim, "SAMPLE_BLOCK", block)
+        trace = rp.simulate(config)
+        assert len(trace) == n
+        waypoints, t0s, durs = seeded_legs(config)
+        # some leg spans a block edge: a block starts on a sample that is not
+        # the first of its leg (samples fall on whole seconds here)
+        edges = np.arange(block, n, block)
+        assert not np.isin(edges, np.ceil(t0s)).all()
+        assert np.array_equal(trace.positions, gather_reference(config, waypoints, t0s, durs))
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 5])
+    def test_equal_start_times_on_a_block_edge(self, monkeypatch, block):
+        # legs 1 and 2 both start at 2.0 (sample 4) and leg 3 at 5.0 (sample
+        # 10): blocks of 1, 2 and 4 start on sample 4, and blocks of 5 end on
+        # it and start on sample 10
+        waypoints = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        t0s = np.array([0.0, 2.0, 2.0, 5.0])
+        durs = np.array([1.2, 1e-17, 3.0, 4.0])
+        monkeypatch.setattr(sim, "_legs", lambda config, rng: (waypoints, t0s, durs))
+        monkeypatch.setattr(sim, "SAMPLE_BLOCK", block)
+        config = rp.SimConfig(side=1.0, v_min=0.01, v_max=0.05, duration=8.0,
+                              sample_interval=0.5, seed=0)
+        positions = rp.simulate(config).positions
+        assert np.array_equal(positions, gather_reference(config, waypoints, t0s, durs))
+        assert np.array_equal(positions[4], waypoints[2])
+        assert np.array_equal(positions[10], waypoints[3])
+
+    def test_peak_memory_per_sample(self):
+        # the (2, n) buffer is 16 B a sample; legs and one block take the rest
+        n = 10**6
+        config = paper_config(seed=7, duration=n - 1)
+        rp.simulate(paper_config(duration=10.0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            trace = rp.simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == n
+        assert peak <= 24 * n, f"{peak / n:.1f} B/sample"
 
 
 class TestBoundedWork:

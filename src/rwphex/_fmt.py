@@ -105,8 +105,9 @@ _U64 = np.uint64
 # "0." and -E - 1 zeros, ending just before the leading digit; nothing for E >= 0
 _PREFIX = np.array([_word(b"0." + b"0" * (-exp - 1), _LEAD + exp - 1) if exp < 0 else 0
                     for exp in range(_E_MIN, _E_MAX + 1)], _U64)
-# 4-digit groups as 4 ASCII bytes, first digit lowest
-_GROUPS = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode(), "<u4")
+# 4-digit groups as 4 ASCII bytes, first digit lowest: the bytes of f"{k:04d}"
+_GROUPS = sum((np.arange(10000, dtype="<u4") // 10 ** (3 - j) % 10 + ord("0")) << (8 * j)
+              for j in range(4))
 _ASCII_ZEROS = _U64(int.from_bytes(b"0" * 8, "little"))
 _POINT = _U64(_word(b".", _LEAD + 1))
 # the three words of a slot with every digit after digit i cleared

@@ -14,6 +14,12 @@ line on stderr and returns 2, and argparse exits 2 for a malformed option.
 
 Exit codes: 0 success (or comparison pass), 1 comparison failure, 2 usage
 or input error, including a NaN or infinite number.
+
+Each command imports the library modules it runs, inside the command, so a
+process loads only those: ``compare`` loads no other ``rwphex`` module,
+``simulate`` and ``baseline`` load ``sim``, ``hexgeom``, ``piecewise`` and
+``_fmt``, and ``marginals`` and ``distance-cdf`` load the analytic modules
+as well.  Module level holds only numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -25,12 +31,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, distance
-from ._fmt import csv_rows
-from .hexgeom import HexRegion, Point2, RefNode, _count
-from .distance import distance_cdf_curve
-from .marginals import axis_marginal
-from .sim import SimConfig, distances_to, ecdf, simulate, uniform_node_distances
+from . import __version__
 
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
@@ -43,6 +44,8 @@ def _write_csv(path, header, *columns):
     one block's rows and text are held at once.  ValueError if the file
     cannot be written.
     """
+    from ._fmt import csv_rows
+
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
@@ -67,15 +70,22 @@ def _write_manifest(args, started, **extra):
 
 def _grid_n(args) -> int:
     """``--grid-n``; ValueError, before any work, unless 2 <= n <= ``MAX_CURVE_POINTS``."""
+    from . import distance
+    from .hexgeom import _count
+
     return _count(args.grid_n, "--grid-n", 2, distance.MAX_CURVE_POINTS)
 
 
-def _ref(args) -> RefNode:
-    """The node of ``--ref-x``/``--ref-y``; ValueError unless both are finite."""
+def _ref(args):
+    """The ``RefNode`` of ``--ref-x``/``--ref-y``; ValueError unless both are finite."""
+    from .hexgeom import Point2, RefNode
+
     return RefNode(Point2(args.ref_x, args.ref_y))
 
 
 def cmd_marginals(args):
+    from .marginals import axis_marginal
+
     grid_n = _grid_n(args)
     m = axis_marginal(args.axis, args.side)
     grid = np.linspace(*m.stationary_cdf.domain, grid_n)
@@ -83,12 +93,17 @@ def cmd_marginals(args):
 
 
 def cmd_distance_cdf(args):
+    from .distance import distance_cdf_curve
+
     grid_n = _grid_n(args)
     curve = distance_cdf_curve(_ref(args), args.side, grid_n)
     return ("d", "cdf"), (curve.d_values, curve.cdf_values), {}
 
 
 def cmd_simulate(args):
+    from .hexgeom import HexRegion
+    from .sim import SimConfig, distances_to, ecdf, simulate
+
     # refuse a bad or unreachably far node before simulating
     ref = _ref(args)
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
@@ -103,6 +118,9 @@ def cmd_simulate(args):
 
 
 def cmd_baseline(args):
+    from .hexgeom import HexRegion
+    from .sim import ecdf, uniform_node_distances
+
     rng = np.random.default_rng(args.seed)
     dists = uniform_node_distances(HexRegion(args.side), _ref(args), args.n, rng)
     return ("d", "ecdf"), ecdf(dists).steps(), {}

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 from types import ModuleType
 
@@ -13,6 +14,7 @@ import rwphex
 from rwphex import __version__, sim
 from rwphex._fmt import ROWS_PER_BLOCK
 from rwphex.cli import EXIT_COMPARE_FAIL, EXIT_OK, _write_csv, main
+from conftest import run_fresh
 
 SQRT3 = math.sqrt(3.0)
 
@@ -226,7 +228,7 @@ def test_simulate_refuses_bad_reference_before_simulating(tmp_path, monkeypatch)
     def fail(config):
         raise AssertionError("simulate ran for a bad reference node")
 
-    monkeypatch.setattr("rwphex.cli.simulate", fail)
+    monkeypatch.setattr("rwphex.sim.simulate", fail)
     out = tmp_path / "sim.csv"
     not_finite = ["--ref-x", "nan", "--ref-y", "0", "--duration", "10"]
     # finite, but its largest distance to the cell overflows
@@ -431,9 +433,87 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0
 
 
+# every public name and the submodule that defines it
+PUBLIC_HOMES = {
+    "AxisMarginal": "marginals", "CdfCurve": "distance", "DomainError": "piecewise",
+    "HexRegion": "hexgeom", "PiecewisePolynomial": "piecewise", "Point2": "hexgeom",
+    "RefNode": "hexgeom", "SQRT3": "hexgeom", "SimConfig": "sim", "Trace": "sim",
+    "axis_marginal": "marginals", "distance_cdf": "distance",
+    "distance_cdf_curve": "distance", "distances_to": "sim", "ecdf": "sim",
+    "ks_statistic": "sim", "product_mass_hexagon": "distance", "simulate": "sim",
+    "stationary_cdf_x": "marginals", "stationary_cdf_y": "marginals",
+    "stationary_pdf_x": "marginals", "stationary_pdf_y": "marginals",
+    "uniform_node_distances": "sim",
+}
+
+
 def test_star_import_binds_no_module():
+    assert rwphex.__all__ == sorted(PUBLIC_HOMES)
+    assert set(rwphex.__all__) <= set(dir(rwphex))
     assert not [name for name in rwphex.__all__
                 if isinstance(getattr(rwphex, name), ModuleType)]
+    for name, home in PUBLIC_HOMES.items():
+        assert getattr(rwphex, name) is getattr(import_module(f"rwphex.{home}"), name), name
+    namespace = {}
+    exec("from rwphex import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == rwphex.__all__
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rwphex.no_such_name
+    assert not hasattr(rwphex, "__no_such_dunder__")
+    with pytest.raises(ImportError):
+        exec("from rwphex import no_such_name", {})
+
+
+def loaded_after(code):
+    """The ``rwphex`` modules, and ``fractions``, that a fresh interpreter
+    holds after running ``code``."""
+    probe = (f"{code}\nimport sys\nprint(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'rwphex' or m == 'fractions')))")
+    return set(run_fresh(probe, timeout=60).splitlines()[-1].split())
+
+
+class TestLoadedModules:
+    """A process loads only the modules its command runs."""
+
+    CLI = {"rwphex", "rwphex.cli"}
+    SIM = CLI | {"rwphex._fmt", "rwphex.hexgeom", "rwphex.piecewise", "rwphex.sim"}
+    ANALYTIC = CLI | {"fractions", "rwphex._fmt", "rwphex.distance", "rwphex.hexgeom",
+                      "rwphex.marginals", "rwphex.piecewise"}
+    NODE = ["--ref-x", "1", "--ref-y", "0.8"]
+
+    def test_package_loads_no_submodule(self):
+        # dir() lists every public name without loading its module
+        code = "import rwphex\nassert set(rwphex.__all__) <= set(dir(rwphex))"
+        assert loaded_after(code) == {"rwphex"}
+
+    def test_cli_module_loads_no_library_module(self):
+        assert loaded_after("import rwphex.cli") == self.CLI
+
+    def test_submodule_resolves_after_bare_import(self):
+        code = ("import sys, rwphex\n"
+                "assert rwphex.distance is sys.modules['rwphex.distance']\n"
+                "assert rwphex.distance.distance_cdf is rwphex.distance_cdf")
+        assert "rwphex.distance" in loaded_after(code)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", *NODE, "--duration", "50", "--seed", "1"], SIM),
+        (["baseline", *NODE, "--n", "50", "--seed", "1"], SIM),
+        (["marginals", "--axis", "x", "--grid-n", "5"], ANALYTIC),
+        (["distance-cdf", *NODE, "--grid-n", "5"], ANALYTIC),
+    ], ids=["simulate", "baseline", "marginals", "distance-cdf"])
+    def test_table_command(self, tmp_path, argv, expected):
+        # a simulation loads neither marginals, distance nor fractions
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        assert loaded_after(f"from rwphex.cli import main\nassert main({argv!r}) == 0") == expected
+
+    def test_compare_loads_nothing_more(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("d,cdf\n0,0\n1,1\n")
+        argv = ["compare", str(table), str(table)]
+        assert loaded_after(f"from rwphex.cli import main\nassert main({argv!r}) == 0") == self.CLI
 
 
 def test_version_matches_pyproject():

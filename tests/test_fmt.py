@@ -118,6 +118,13 @@ def test_block_boundaries_and_columns():
             assert_exact(values, ncols=ncols, rows_per_block=rows)
 
 
+def test_groups_are_the_four_digit_texts():
+    # built with numpy arithmetic, the table holds the bytes of f"{k:04d}"
+    texts = "".join(f"{k:04d}" for k in range(10000)).encode()
+    assert _fmt._GROUPS.dtype == np.dtype("<u4")
+    assert _fmt._GROUPS.tobytes() == texts
+
+
 def test_empty_table():
     assert formatted(np.empty((0, 2))) == b""
 

@@ -2,8 +2,11 @@
 
 A table command validates and computes, and returns its header, columns and
 extra manifest entries without opening a file; ``main`` times each command
-and writes its CSV and ``<out>.manifest``, or nothing if the command fails.
-``compare`` writes nothing and returns its exit code.
+and writes its CSV and ``<out>.manifest``, or nothing if the command fails:
+a write that fails after its file was opened removes that file, and a
+manifest that cannot be written removes the CSV.  A path that cannot be
+opened is left as it is.  ``compare`` writes nothing and returns its exit
+code.
 
 Every CSV value is the text of ``format(v, ".17g")``, which reads back as
 the same float; ``_fmt`` says how it is written a block of rows at a time.
@@ -25,6 +28,9 @@ as well.  Module level holds only numpy and the standard library.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
+import os
 import sys
 import time
 import warnings
@@ -37,6 +43,31 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_USAGE = 2
 
+
+def _discard(path):
+    """Remove ``path``, which this command opened for writing, if it is a regular file."""
+    with contextlib.suppress(OSError):
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+
+
+def _write(path, chunks):
+    """Write each byte chunk to ``path``; ValueError, naming ``path`` once, if that fails.
+
+    A file this opened is removed again when a later write fails, so no
+    partial file is left; a file it could not open is left as it is.
+    """
+    opened = False
+    try:
+        with open(path, "wb") as fh:
+            opened = True
+            fh.writelines(chunks)
+    except OSError as exc:  # str(exc) would name the file a second time
+        if opened:
+            _discard(path)
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, header, *columns):
     """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``.
 
@@ -46,13 +77,7 @@ def _write_csv(path, header, *columns):
     """
     from ._fmt import csv_rows
 
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for block in csv_rows(columns):
-                fh.write(block)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+    _write(path, itertools.chain([(",".join(header) + "\n").encode()], csv_rows(columns)))
 
 
 def _write_manifest(args, started, **extra):
@@ -61,11 +86,7 @@ def _write_manifest(args, started, **extra):
     params.update(extra)
     lines = [f"command={args.command}", *(f"{key}={params[key]}" for key in sorted(params)),
              f"version={__version__}", f"wall_clock_s={time.monotonic() - started:.3f}"]
-    try:
-        with open(str(args.out) + ".manifest", "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ValueError(f"cannot write manifest: {exc}") from exc
+    _write(str(args.out) + ".manifest", [("\n".join(lines) + "\n").encode()])
 
 
 def _grid_n(args) -> int:
@@ -259,7 +280,11 @@ def main(argv=None) -> int:
             return result
         header, columns, extra = result
         _write_csv(args.out, header, *columns)
-        _write_manifest(args, started, **extra)
+        try:
+            _write_manifest(args, started, **extra)
+        except ValueError:
+            _discard(args.out)  # a failing command leaves neither file
+            raise
         return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

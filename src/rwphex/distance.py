@@ -61,7 +61,7 @@ from functools import cache
 import numpy as np
 
 from .hexgeom import SQRT3, _UNIT_EDGES, RefNode, _count, _real, _side, _unit_extremes
-from .marginals import _U_BREAKS, _X_BREAKS, _unit_tables
+from .marginals import _X_BREAKS, _Y_BREAKS, _unit_tables
 
 __all__ = [
     "CdfCurve",
@@ -93,7 +93,7 @@ _X_LINES = np.array(_X_BREAKS, dtype=float)
 # the lines where the y-marginal or the slice bounds change piece, and each
 # edge's start in x, once for each of its two crossings
 _X_LINE_LIST = _X_LINES.tolist()
-_Y_LINE_LIST = [float(u) * SQRT3 for u in _U_BREAKS]
+_Y_LINE_LIST = [float(y) for y in _Y_BREAKS]
 _EDGE_X0_LIST = [ax for ax, _, _, _ in _UNIT_EDGES] * 2
 
 

@@ -13,17 +13,20 @@ coefficient is an exact rational, computed rather than copied from derived
 formulas.  Weighting a leg by its projected, not its 2-D, length is the
 paper's model; the node's exact per-axis law differs from it (README).
 
-The y-axis is derived in u = y / sqrt(3), where its waypoint density has
-rational coefficients.  ``_unit_tables`` builds every side-1 table in one
-step: it writes each exact piece about its origin (its left breakpoint, or
-the top end for the last piece), takes the PDF as the exact derivative of
-the exact CDF, maps u to cell coordinates, and only then rounds each
-coefficient to a float, once.  A table's value at an end of the domain is
-then its rounded constant term: F is exactly 0 at the lower end and exactly
-1 at the top, the PDF exactly 0 at both, and next to either end F stays in
-[0, 1] and the PDF at or above 0.  At side a, read from one side-1 table
-each, the CDF is F_1(t / a), each density f_1(t / a) / a and the partial
-leg a L_1(t / a): a subnormal a overflows.
+Each waypoint density is written in the coordinates its tables are stored
+in: cell coordinates, each piece about its origin (its left breakpoint, or
+the top end for the last piece, ``piecewise._origins``).  The y cell spans
+[0, alpha] for alpha the float ``SQRT3`` as an exact rational, so the y
+density's coefficients are rational too.  ``_leg_below`` integrates in
+those coordinates, so its exact pieces are the stored ones:
+``_unit_tables`` takes the PDF as the exact derivative of the exact CDF and
+rounds each coefficient to a float once, when it builds the table.  A
+table's value at an end of the domain is then its rounded constant term: F
+is exactly 0 at the lower end and exactly 1 at the top, the PDF exactly 0
+at both, and next to either end F stays in [0, 1] and the PDF at or above
+0.  At side a, read from one side-1 table each, the CDF is F_1(t / a),
+each density f_1(t / a) / a and the partial leg a L_1(t / a): a subnormal
+a overflows.
 Each such field is a ``SideScaled``, and its argument is checked once, by
 the side-1 table against the table's domain times a
 (``PiecewisePolynomial._at``).
@@ -37,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .hexgeom import SQRT3, HexRegion
@@ -54,70 +56,56 @@ __all__ = [
 
 F = Fraction
 
-# Waypoint densities at unit side, as ascending coefficients per piece.
+# Waypoint densities at unit side, in cell coordinates, as ascending
+# coefficients of each piece in t - o about its origin o (``_origins``).
 # x-axis: triangular ramps over [0, 1/2] and [3/2, 2] around a flat middle.
 _X_BREAKS = [F(0), F(1, 2), F(3, 2), F(2)]
-_X_PIECES = [[F(0), F(4, 3)], [F(2, 3)], [F(8, 3), F(-4, 3)]]  # 4s/3, 2/3, 4(2-s)/3
-# y-axis in u = y/sqrt(3): trapezoid rising to u = 1/2 then falling.
-_U_BREAKS = [F(0), F(1, 2), F(1)]
-_U_PIECES = [[F(2, 3), F(4, 3)], [F(2), F(-4, 3)]]  # 2(1+2u)/3, (6-4u)/3
+_X_PIECES = [[F(0), F(4, 3)], [F(2, 3)], [F(0), F(-4, 3)]]  # 4t/3, 2/3, -4(t-2)/3
+# y-axis: in u = y / alpha the trapezoid 2(1+2u)/3, rising to u = 1/2, then
+# 2/3 - 4(u-1)/3; alpha is the float SQRT3 that spans the cell, as an exact
+# rational, so a u coefficient c_k becomes c_k / alpha**(k+1) in y.
+_ALPHA = F(SQRT3)
+_Y_BREAKS = [F(0), _ALPHA / 2, _ALPHA]
+_Y_PIECES = [[c / _ALPHA ** (k + 1) for k, c in enumerate(p)]
+             for p in ([F(2, 3), F(4, 3)], [F(2, 3), F(-4, 3)])]
 
 
 def _leg_below(breaks, pieces):
-    """E(L) and, per piece, the exact coefficients of E(L_below(x)).
+    """E(L) and, per piece, the exact coefficients of E(L_below(t)) about its origin.
 
     ``pieces[i]`` holds the ascending ``Fraction`` coefficients of the
-    waypoint density on ``[breaks[i], breaks[i+1]]``; ``npoly`` keeps them
-    in object arrays, so every result is an exact ``Fraction``.
+    waypoint density on ``[breaks[i], breaks[i+1]]`` in t - o_i, o_i its
+    origin (``_origins``), and so does each result; ``npoly`` keeps them in
+    object arrays, so every result is an exact ``Fraction``.
     """
     g = below = F(0)  # G and E(L_below) at the current piece's lower end
     branches = []
-    for lo, hi, f in zip(breaks, breaks[1:], pieces):
-        G = npoly.polyint(f, lbnd=lo, k=g)
-        L = npoly.polyint(2 * npoly.polymul(G, npoly.polysub([1], G)), lbnd=lo, k=below)
-        g, below = npoly.polyval(hi, G), npoly.polyval(hi, L)
+    for lo, hi, o, f in zip(breaks, breaks[1:], _origins(breaks), pieces):
+        G = npoly.polyint(f, lbnd=lo - o, k=g)
+        L = npoly.polyint(2 * npoly.polymul(G, npoly.polysub([1], G)), lbnd=lo - o, k=below)
+        g, below = npoly.polyval(hi - o, G), npoly.polyval(hi - o, L)
         branches.append(L)
     return below, branches
-
-
-def _about_origins(breaks, pieces):
-    """Each exact piece's ascending coefficients in s = t - o_i, o_i its origin."""
-    shifted = []
-    for o, piece in zip(_origins(breaks), pieces):
-        c = np.array(piece, dtype=object)
-        for i in range(len(c) - 1):  # synthetic division by t - o, repeated
-            for k in range(len(c) - 2, i - 1, -1):
-                c[k] += o * c[k + 1]
-        shifted.append(c)
-    return shifted
 
 
 @lru_cache(maxsize=None)
 def _unit_tables(axis: str) -> dict:
     """Side-1 tables in cell coordinates, keyed by ``AxisMarginal`` field, and E(L).
 
-    Each piece is written about its origin (``piecewise._origins``).  On
-    the y-axis, y - y_i = sqrt(3) (u - u_i) scales each coefficient c_k by
-    sqrt(3)**-k, then a density by 1/sqrt(3) and the partial leg by
-    sqrt(3).  That scaling is exact, in the float ``SQRT3`` that spans the
-    cell, so each coefficient is rounded once, last.
+    ``_leg_below`` works in the stored coordinates, cell coordinates about
+    each piece's origin, so each table takes its exact pieces as they are,
+    the PDF's as the exact derivative of the CDF's.  ``PiecewisePolynomial``
+    rounds each coefficient to a float, once and correctly
+    (``Fraction.__float__``).
     """
-    breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
-    alpha = F(1) if axis == "x" else F(SQRT3)  # cell coordinate per unit of u
-    expected, branches = _leg_below(breaks, pieces)
-    leg = _about_origins(breaks, branches)
+    breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_Y_BREAKS, _Y_PIECES)
+    expected, leg = _leg_below(breaks, pieces)
     cdf = [c / expected for c in leg]
-    bp = np.array([b * alpha for b in breaks], dtype=float)
-
-    def cell(exact, power):  # the field in cell coordinates is alpha**power times its u form
-        return PiecewisePolynomial(bp, [[float(c * alpha ** (power - k)) for k, c in enumerate(p)]
-                                        for p in exact])
-
-    return {"waypoint_pdf": cell(_about_origins(breaks, pieces), -1),
-            "stationary_pdf": cell([npoly.polyder(c) for c in cdf], -1),
-            "stationary_cdf": cell(cdf, 0),
-            "partial_leg": cell(leg, 1),
-            "expected_leg": float(expected * alpha)}
+    return {"waypoint_pdf": PiecewisePolynomial(breaks, pieces),
+            "stationary_pdf": PiecewisePolynomial(breaks, [npoly.polyder(c) for c in cdf]),
+            "stationary_cdf": PiecewisePolynomial(breaks, cdf),
+            "partial_leg": PiecewisePolynomial(breaks, leg),
+            "expected_leg": float(expected)}
 
 
 class SideScaled(NamedTuple):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import subprocess
@@ -83,6 +84,36 @@ class TestMarginalsCommand:
     def test_unwritable_path(self):
         assert main(["marginals", "--axis", "x", "--grid-n", "3",
                      "--out", "/nonexistent-dir/x.csv"]) == 2
+
+    def test_unwritable_manifest_leaves_no_csv(self, tmp_path, capsys):
+        # the CSV is written first, and removed again when its manifest fails
+        out = tmp_path / "out.csv"
+        manifest = Path(str(out) + ".manifest")
+        manifest.mkdir()
+        assert main(["marginals", "--axis", "x", "--grid-n", "3", "--out", str(out)]) == 2
+        assert not out.exists() and manifest.is_dir()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {manifest}: ")
+        assert err[0].count(str(manifest)) == 1
+
+    def test_missing_directory_is_named_once(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["marginals", "--axis", "x", "--grid-n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
+    def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        # the first block is written, then the device fills up
+        def rows(columns):
+            yield b"0,0,0\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(rwphex._fmt, "csv_rows", rows)
+        out = tmp_path / "x.csv"
+        assert main(["marginals", "--axis", "x", "--grid-n", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_precision(self, tmp_path):
         from rwphex import axis_marginal

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import rwphex as rp
-from rwphex.marginals import _U_BREAKS, _U_PIECES, _X_BREAKS, _X_PIECES, _leg_below, _unit_tables
-from rwphex.piecewise import DomainError
+from rwphex.hexgeom import _UNIT_VERTS
+from rwphex.marginals import _X_BREAKS, _X_PIECES, _Y_BREAKS, _Y_PIECES, _leg_below, _unit_tables
+from rwphex.piecewise import DomainError, _origins
 
 from conftest import (
     SQRT3,
@@ -61,7 +62,8 @@ class TestExpectedLeg:
         assert rp.axis_marginal("x", 2.0).expected_leg == pytest.approx(142 / 135, rel=1e-15)
 
     def test_y_constant_exact(self):
-        assert _leg_below(_U_BREAKS, _U_PIECES)[0] == Fraction(41, 135)
+        # in cell units: 41/135 times the float SQRT3 that spans the cell
+        assert _leg_below(_Y_BREAKS, _Y_PIECES)[0] == Fraction(41, 135) * Fraction(SQRT3)
         assert rp.axis_marginal("y", 1.0).expected_leg == pytest.approx(
             41 / (45 * SQRT3), rel=1e-15)
         assert rp.axis_marginal("y", 3.0).expected_leg == pytest.approx(
@@ -249,32 +251,39 @@ class TestStationaryPdf:
 class TestExactTables:
     def test_uniform_waypoints_give_mean_leg_of_one_third(self):
         # uniform endpoints on [0, 1]: E|U - V| = 1/3, and the portion of a
-        # leg below x is the integral of 2t(1 - t), that is x**2 - 2x**3/3
+        # leg below x is the integral of 2t(1 - t), that is x**2 - 2x**3/3;
+        # a single piece's origin is its top end, so about t = 1 that is
+        # 1/3 - (x - 1)**2 - 2(x - 1)**3/3
         expected, branches = _leg_below([Fraction(0), Fraction(1)], [[Fraction(1)]])
         coeffs = list(branches[0])
         assert type(expected) is Fraction and expected == Fraction(1, 3)
-        assert coeffs == [0, 0, 1, Fraction(-2, 3)]
+        assert coeffs == [Fraction(1, 3), 0, -1, Fraction(-2, 3)]
         assert all(type(c) is Fraction for c in coeffs)
+
+    def test_breakpoints_are_the_cell_vertices(self):
+        # distance cuts at both the marginal breakpoints and the cell's
+        # edges, so the two statements of the cell must not drift apart
+        assert [float(b) for b in _X_BREAKS] == sorted({v.x for v in _UNIT_VERTS})
+        assert [float(b) for b in _Y_BREAKS] == sorted({v.y for v in _UNIT_VERTS})
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_side_one_tables_match_exact_evaluation(self, axis):
-        # every field against its exact pieces in u, evaluated in Fraction at
-        # u = t / alpha, where alpha is the float SQRT3 that spans the cell
-        breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_U_BREAKS, _U_PIECES)
-        alpha = Fraction(1) if axis == "x" else Fraction(SQRT3)
+        # every field against its exact pieces in cell coordinates, evaluated
+        # in Fraction at t minus the piece's origin
+        breaks, pieces = (_X_BREAKS, _X_PIECES) if axis == "x" else (_Y_BREAKS, _Y_PIECES)
         expected, branches = _leg_below(breaks, pieces)
         cdf = [np.array(b, dtype=object) / expected for b in branches]
-        exact = {"waypoint_pdf": (pieces, 1 / alpha), "partial_leg": (branches, alpha),
-                 "stationary_cdf": (cdf, 1),
-                 "stationary_pdf": ([np.polynomial.polynomial.polyder(c) for c in cdf], 1 / alpha)}
+        exact = {"waypoint_pdf": pieces, "partial_leg": branches, "stationary_cdf": cdf,
+                 "stationary_pdf": [np.polynomial.polynomial.polyder(c) for c in cdf]}
+        origins = _origins(breaks)
         bp = _unit_tables(axis)["stationary_cdf"].breakpoints
         t = np.concatenate((bp, np.nextafter(bp[1:], -np.inf), np.nextafter(bp[:-1], np.inf),
                             np.random.default_rng(26).uniform(bp[0], bp[-1], 2000)))
-        for name, (exact_pieces, factor) in exact.items():
+        for name, exact_pieces in exact.items():
             for v, got in zip(t.tolist(), _unit_tables(axis)[name](t).tolist()):
-                u = Fraction(v) / alpha
-                piece = exact_pieces[sum(u >= b for b in breaks[1:-1])]
-                want = sum(c * u**k for k, c in enumerate(piece)) * factor
+                i = sum(Fraction(v) >= b for b in breaks[1:-1])
+                s = Fraction(v) - origins[i]
+                want = sum(c * s**k for k, c in enumerate(exact_pieces[i]))
                 assert abs(Fraction(got) - want) <= 4.5e-16, (name, v)
 
     def test_side_one_tables_are_pinned(self):

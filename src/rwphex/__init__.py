@@ -13,7 +13,7 @@ library call ever triggers an import.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # each public name and the submodule that defines it
 _HOMES = {
@@ -27,7 +27,7 @@ _HOMES = {
     "SimConfig": "sim", "Trace": "sim", "distances_to": "sim", "ecdf": "sim",
     "ks_statistic": "sim", "simulate": "sim", "uniform_node_distances": "sim",
 }
-_SUBMODULES = frozenset({"_fmt", "cli", "distance", "hexgeom", "marginals", "piecewise", "sim"})
+_SUBMODULES = frozenset({"cli", "distance", "hexgeom", "marginals", "piecewise", "sim"})
 
 __all__ = sorted(_HOMES)
 

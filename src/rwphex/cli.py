@@ -9,7 +9,10 @@ opened is left as it is.  ``compare`` writes nothing and returns its exit
 code.
 
 Every CSV value is the text of ``format(v, ".17g")``, which reads back as
-the same float; ``_fmt`` says how it is written a block of rows at a time.
+the same float.  ``simulate`` and ``baseline`` write their empirical CDF on
+the d column that ``distance-cdf`` writes at its default ``--grid-n``
+(``GRID_N`` rows) for the same node and side, so ``compare`` of the two
+tables is exact at every row.
 
 Every refusal is a ``ValueError``, from the library or from this module (a
 bad input file, an unwritable path); ``main`` prints it as one ``error:``
@@ -20,16 +23,15 @@ or input error, including a NaN or infinite number.
 
 Each command imports the library modules it runs, inside the command, so a
 process loads only those: ``compare`` loads no other ``rwphex`` module,
-``simulate`` and ``baseline`` load ``sim``, ``hexgeom``, ``piecewise`` and
-``_fmt``, and ``marginals`` and ``distance-cdf`` load the analytic modules
-as well.  Module level holds only numpy and the standard library.
+``simulate`` and ``baseline`` load ``sim``, ``hexgeom`` and ``piecewise``,
+and ``marginals`` and ``distance-cdf`` load the analytic modules as well.
+Module level holds only numpy and the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 import time
@@ -42,6 +44,9 @@ from . import __version__
 EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_USAGE = 2
+
+GRID_N = 200  # distance-cdf's default --grid-n, and the rows of every d,ecdf table
+_BLOCK_ROWS = 1 << 12  # CSV rows formatted at once
 
 
 def _discard(path):
@@ -71,13 +76,19 @@ def _write(path, chunks):
 def _write_csv(path, header, *columns):
     """Write equal-length columns as CSV rows, each value as ``format(v, ".17g")``.
 
-    ``_fmt.csv_rows`` gives those bytes a block of rows at a time, so only
+    ``"%.17g"`` gives those bytes, ``_BLOCK_ROWS`` rows at a time, so only
     one block's rows and text are held at once.  ValueError if the file
     cannot be written.
     """
-    from ._fmt import csv_rows
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
 
-    _write(path, itertools.chain([(",".join(header) + "\n").encode()], csv_rows(columns)))
+    def blocks():
+        yield (",".join(header) + "\n").encode()
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
+            yield (row * len(block) % tuple(block.ravel().tolist())).encode()
+
+    _write(path, blocks())
 
 
 def _write_manifest(args, started, **extra):
@@ -121,30 +132,51 @@ def cmd_distance_cdf(args):
     return ("d", "cdf"), (curve.d_values, curve.cdf_values), {}
 
 
-def cmd_simulate(args):
-    from .hexgeom import HexRegion
-    from .sim import SimConfig, distances_to, ecdf, simulate
+def _ecdf_grid(ref, side):
+    """The d column of ``distance-cdf`` at ``ref``, a checked ``side`` and
+    ``GRID_N`` points; ValueError if the cell is out of the node's reach."""
+    from .hexgeom import _unit_grid
 
-    # refuse a bad or unreachably far node before simulating
+    return side * _unit_grid(ref, side, GRID_N)[1]
+
+
+def _ecdf_table(grid, distances):
+    """The header and columns of a ``d,ecdf`` table: the ecdf of ``distances`` on ``grid``.
+
+    A waypoint can lie up to 1e-12 * side outside the cell (``HexRegion._inside``),
+    so a distance can exceed d_max; the last grid point then moves up to the
+    largest distance, and the last row is always 1.
+    """
+    from .sim import ecdf
+
+    emp = ecdf(distances)
+    grid[-1] = max(grid[-1], emp.sorted_samples[-1])
+    return ("d", "ecdf"), (grid, emp(grid))
+
+
+def cmd_simulate(args):
+    from .sim import SimConfig, distances_to, simulate
+
     ref = _ref(args)
     config = SimConfig(side=args.side, v_min=args.v_min, v_max=args.v_max,
                        duration=args.duration, sample_interval=args.dt,
                        seed=args.seed)
-    HexRegion(args.side).distance_extremes(ref)
+    grid = _ecdf_grid(ref, config.side)  # refuses an unreachably far node before simulating
     trace = simulate(config)
     extra = {"legs": trace.legs, "samples": len(trace)}
-    emp = ecdf(distances_to(trace, ref))
-    del trace  # the table needs only the sorted distances
-    return ("d", "ecdf"), emp.steps(), extra
+    dists = distances_to(trace, ref)
+    del trace  # the table needs only the distances
+    return (*_ecdf_table(grid, dists), extra)
 
 
 def cmd_baseline(args):
     from .hexgeom import HexRegion
-    from .sim import ecdf, uniform_node_distances
+    from .sim import uniform_node_distances
 
-    rng = np.random.default_rng(args.seed)
-    dists = uniform_node_distances(HexRegion(args.side), _ref(args), args.n, rng)
-    return ("d", "ecdf"), ecdf(dists).steps(), {}
+    region, ref = HexRegion(args.side), _ref(args)
+    grid = _ecdf_grid(ref, region.side)
+    dists = uniform_node_distances(region, ref, args.n, np.random.default_rng(args.seed))
+    return (*_ecdf_table(grid, dists), {})
 
 
 def _ragged_line(path):
@@ -240,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_marginals)
 
     p = sub.add_parser("distance-cdf", parents=[node], help="export the analytic distance CDF")
-    p.add_argument("--grid-n", type=int, default=200)
+    p.add_argument("--grid-n", type=int, default=GRID_N)
     p.set_defaults(func=cmd_distance_cdf)
 
     p = sub.add_parser("simulate", parents=[seeded],
@@ -262,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "linearly between its rows, on the union of their d values. "
                     "An ecdf table is interpolated too, so the result can differ "
                     "from ks_statistic, which takes both sides of each ecdf step, "
-                    "by up to one step (1/n for n samples without ties).")
+                    "by up to the ecdf's change between two neighbouring rows.")
     p.add_argument("analytic_csv")
     p.add_argument("empirical_csv")
     p.add_argument("--threshold", type=float, default=0.05)

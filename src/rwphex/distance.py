@@ -54,13 +54,12 @@ benchmark's tracer wraps to infer table work.  The library's own count is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .hexgeom import SQRT3, _UNIT_EDGES, RefNode, _count, _real, _side, _unit_extremes
+from .hexgeom import SQRT3, _UNIT_EDGES, RefNode, _count, _real, _side, _unit_extremes, _unit_grid
 from .marginals import _X_BREAKS, _Y_BREAKS, _unit_tables
 
 __all__ = [
@@ -284,9 +283,6 @@ def distance_cdf(ref: RefNode, a: float, d: float) -> float:
 def distance_cdf_curve(ref: RefNode, a: float, n_points: int) -> CdfCurve:
     """CDF sampled on a uniform grid spanning [d_min, d_max]."""
     n_points = _count(n_points, "n_points", 2, MAX_CURVE_POINTS)
-    (x1, y1), d_min, d_max = _unit_extremes(ref, a := _side(a))
-    if not math.isfinite(a * d_max):
-        raise ValueError("reference node is too far from a cell of this side")
-    grid = np.linspace(d_min, d_max, n_points)
-    cdf, intervals = _cdf(x1, y1, grid, d_min, d_max)
+    (x1, y1), grid = _unit_grid(ref, a := _side(a), n_points)
+    cdf, intervals = _cdf(x1, y1, grid, grid[0], grid[-1])
     return CdfCurve(d_values=a * grid, cdf_values=cdf, ref=ref, side=a, intervals=intervals)

@@ -6,7 +6,9 @@ bottom between x = a/2 and x = 3a/2.
 
 Distances from a node to the cell are computed at side 1, on the node
 divided by the side, so they work at any side; every check in the library
-that a node is within reach of the cell starts from ``_unit_extremes``.
+that a node is within reach of the cell starts from ``_unit_extremes``,
+and ``_unit_grid`` is the one grid of distances that a curve and the CLI's
+ecdf tables are evaluated on.
 ``_UNIT_EDGES`` is the one statement of the unit cell's edges, each once as
 its start and its step: the nearest-edge distance here and the disk-edge
 cuts in ``distance`` both read it.
@@ -224,3 +226,16 @@ def _unit_extremes(ref: RefNode, a: float) -> tuple[Point2, float, float]:
     if _UNIT._inside(px, py):
         return p, 0.0, d_max
     return p, min([_segment_distance(px, py, *edge) for edge in _UNIT_EDGES]), d_max
+
+
+def _unit_grid(ref: RefNode, a: float, n: int) -> tuple[Point2, np.ndarray]:
+    """The node at side 1 and ``n`` distances evenly spaced over its [d_min, d_max]
+    there; ValueError as ``_unit_extremes``, or if d_max overflows at side ``a``.
+
+    ``a`` times this grid is the d column of ``distance_cdf_curve`` and of the
+    CLI's ``d,ecdf`` tables, so the two share every bit.
+    """
+    p, d_min, d_max = _unit_extremes(ref, a)
+    if not math.isfinite(a * d_max):
+        raise ValueError("reference node is too far from a cell of this side")
+    return p, np.linspace(d_min, d_max, n)

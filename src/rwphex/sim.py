@@ -250,11 +250,7 @@ def _distances(xs, ys, ref, d_max):
 
 
 class EmpiricalCdf:
-    """Right-continuous step function F(d) = (#samples <= d) / n.
-
-    ``steps()`` gives its steps, which are the rows of the CLI's ``d,ecdf``
-    tables: the last row is 1.
-    """
+    """Right-continuous step function F(d) = (#samples <= d) / n."""
 
     __slots__ = ("sorted_samples",)
 
@@ -280,17 +276,6 @@ class EmpiricalCdf:
         pos = np.searchsorted(self.sorted_samples, d, side="right")
         out = pos / self.sorted_samples.size
         return float(out) if d.ndim == 0 else out
-
-    def steps(self):
-        """``(values, fractions)``: the distinct sorted samples, and F at each.
-
-        Of equal samples (0.0 and -0.0 among them) the first in sorted order
-        stands for the value, as in ``np.unique``.
-        """
-        s = self.sorted_samples
-        # one past the last copy of each value: the count of samples <= it
-        ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
-        return s[np.append(0, ends[:-1])], ends / s.size
 
 
 def ecdf(samples) -> EmpiricalCdf:

@@ -5,7 +5,9 @@ the package: leg-length expectations are re-done with fixed-order 2D
 Gauss-Legendre quadrature from the waypoint densities and min/max segment
 logic, and distance-CDF values come from rejection-sampled Monte Carlo and
 from nested adaptive quadrature (scipy) of the stationary densities over
-hexagon ∩ disk, in x and y rather than the library's angle variable.
+hexagon ∩ disk, in x and y rather than the library's angle variable.  The
+area of hexagon ∩ disk, the distance integrand's cut geometry under a unit
+density, comes in closed form, edge by edge.
 """
 
 import bisect
@@ -62,6 +64,8 @@ def waypoint_y(s, a=1.0):
 
 X_BREAKS = (0.0, 0.5, 1.5, 2.0)
 Y_BREAKS = (0.0, SQRT3 / 2, SQRT3)
+# the unit cell's vertices, counterclockwise
+HEX_VERTS = [(0.0, SQRT3 / 2), (0.5, 0.0), (1.5, 0.0), (2.0, SQRT3 / 2), (1.5, SQRT3), (0.5, SQRT3)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +190,7 @@ def _disk_kinks(ref, d):
         if abs(yc - y1) < d:
             h = math.sqrt(d * d - (yc - y1) ** 2)
             xs += [x1 - h, x1 + h]
-    verts = [(0.0, SQRT3 / 2), (0.5, 0.0), (1.5, 0.0),
-             (2.0, SQRT3 / 2), (1.5, SQRT3), (0.5, SQRT3)]
-    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+    for (px, py), (qx, qy) in zip(HEX_VERTS, HEX_VERTS[1:] + HEX_VERTS[:1]):
         # |p + t (q - p) - ref|^2 = d^2 as a quadratic in t
         coeffs = [(qx - px) ** 2 + (qy - py) ** 2,
                   2 * ((qx - px) * (px - x1) + (qy - py) * (py - y1)),
@@ -269,3 +271,43 @@ def quad_product_mass(ref=None, d=None):
 def quad_distance_cdf(ref, d):
     """Distance CDF at side 1 as a ratio of two nested-quad masses."""
     return quad_product_mass(ref, d) / quad_product_mass()
+
+
+# ---------------------------------------------------------------------------
+# closed-form area of the unit hexagon ∩ disk
+
+def _triangle_disk_area(ax, ay, bx, by, r):
+    """Signed area of the triangle (origin, A, B) ∩ disk(origin, r): positive
+    when the triangle runs counterclockwise.
+
+    The circle cuts segment AB into at most three pieces, each wholly inside
+    or outside the disk.  An inside piece PQ adds the triangle (origin, P, Q),
+    and an outside one the sector of radius r between P and Q.
+    """
+    dx, dy = bx - ax, by - ay
+    # |A + t (B - A)|^2 = r^2 as qa t^2 + 2 qb t + qc = 0
+    qa, qb, qc = dx * dx + dy * dy, ax * dx + ay * dy, ax * ax + ay * ay - r * r
+    disc = qb * qb - qa * qc
+    ts = [0.0]
+    if disc > 0:
+        root = math.sqrt(disc)
+        ts += [t for t in ((-qb - root) / qa, (-qb + root) / qa) if 0.0 < t < 1.0]
+    ts.append(1.0)
+    area = 0.0
+    for t0, t1 in zip(ts, ts[1:]):
+        px, py, qx, qy = ax + t0 * dx, ay + t0 * dy, ax + t1 * dx, ay + t1 * dy
+        cross = px * qy - py * qx
+        mid = 0.5 * (t0 + t1)
+        # strictly inside: a tangent segment touches the disk only at its midpoint
+        if (ax + mid * dx) ** 2 + (ay + mid * dy) ** 2 < r * r:
+            area += 0.5 * cross
+        else:
+            area += 0.5 * r * r * math.atan2(cross, px * qx + py * qy)
+    return area
+
+
+def hexagon_disk_area(x1, y1, r):
+    """Exact area of the unit hexagon ∩ disk((x1, y1), r), at any node: the sum
+    over the six edges of the signed area of triangle (node, edge) ∩ disk."""
+    verts = [(x - x1, y - y1) for x, y in HEX_VERTS]
+    return sum(_triangle_disk_area(*p, *q, r) for p, q in zip(verts, verts[1:] + verts[:1]))

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import math
 import subprocess
 import sys
@@ -13,8 +14,7 @@ import pytest
 
 import rwphex
 from rwphex import __version__, sim
-from rwphex._fmt import ROWS_PER_BLOCK
-from rwphex.cli import EXIT_COMPARE_FAIL, EXIT_OK, _write_csv, main
+from rwphex.cli import _BLOCK_ROWS, EXIT_COMPARE_FAIL, EXIT_OK, GRID_N, _write_csv, main
 from conftest import run_fresh
 
 SQRT3 = math.sqrt(3.0)
@@ -104,12 +104,15 @@ class TestMarginalsCommand:
         assert not out.parent.exists()
 
     def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
-        # the first block is written, then the device fills up
-        def rows(columns):
-            yield b"0,0,0\n"
-            raise OSError(errno.ENOSPC, "No space left on device")
+        # the header and the first block are written, then the device fills up
+        class FillsUp(io.FileIO):
+            def writelines(self, chunks):
+                chunks = iter(chunks)
+                self.write(next(chunks))
+                self.write(next(chunks))
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(rwphex._fmt, "csv_rows", rows)
+        monkeypatch.setattr(rwphex.cli, "open", FillsUp, raising=False)
         out = tmp_path / "x.csv"
         assert main(["marginals", "--axis", "x", "--grid-n", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
@@ -167,8 +170,8 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     special = [-0.0, 5e-324, 1e-300, 1 / 3, 1.0, 0.1, -2.5e17, 123456789.0,
                -2.2250738585072014e-308, 0.0001, 1e16, 1e17]
     rng = np.random.default_rng(1)
-    # longer than two blocks of the formatter
-    n = 2 * ROWS_PER_BLOCK + 3
+    # longer than two blocks of the writer
+    n = 2 * _BLOCK_ROWS + 3
     a = np.concatenate((special, rng.standard_normal(n)))
     b = np.concatenate((special[::-1], rng.uniform(0.0, 1e-8, n)))
     c = np.concatenate((special, rng.uniform(0.0, 2.0, n)))
@@ -179,18 +182,24 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
+def assert_ecdf_table(path):
+    """``path`` holds a d,ecdf table on the default grid: GRID_N rows, d
+    strictly increasing, the ecdf nondecreasing and ending at exactly 1."""
+    header, data = read_csv(path)
+    assert header == ["d", "ecdf"]
+    assert data.shape == (GRID_N, 2)
+    assert np.all(np.diff(data[:, 0]) > 0)
+    assert np.all(np.diff(data[:, 1]) >= 0)
+    assert data[-1, 1] == 1.0
+
+
 class TestSimulateCommand:
     def test_small_run(self, tmp_path):
         out = tmp_path / "sim.csv"
         rc = main(["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "10",
                    "--dt", "1", "--seed", "5", "--out", str(out)])
         assert rc == 0
-        header, data = read_csv(out)
-        assert header == ["d", "ecdf"]
-        assert data[:, 0].size <= 11
-        # one row per distinct d: both columns strictly increase
-        assert np.all(np.diff(data, axis=0) > 0)
-        assert data[-1, 1] == 1.0
+        assert_ecdf_table(out)
 
     def test_seed_reproducibility_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -275,10 +284,7 @@ class TestBaselineCommand:
         out = tmp_path / "base.csv"
         assert main(["baseline", "--ref-x", "0", "--ref-y", "0", "--n", "1",
                      "--seed", "3", "--out", str(out)]) == 0
-        header, data = read_csv(out)
-        assert header == ["d", "ecdf"]
-        assert data.shape == (1, 2)
-        assert data[0, 1] == 1.0
+        assert_ecdf_table(out)
 
     def test_centroid_max_distance(self, tmp_path):
         out = tmp_path / "base.csv"
@@ -329,6 +335,66 @@ class TestBaselineCommand:
                      "--n", "10", "--seed", "1", "--out", str(out)]) == 0
         _, data = read_csv(out)
         assert np.all((data[:, 0] > 0) & (data[:, 0] <= 2.5e-300))
+
+
+def d_column(path):
+    """The text of each row's first field in the CSV at ``path``, header included."""
+    return [line.split(",")[0] for line in Path(path).read_text().splitlines()]
+
+
+class TestEcdfGrid:
+    """simulate and baseline write their ecdf on distance-cdf's default d column."""
+
+    NODES = {"interior": ["--ref-x", "1", "--ref-y", "0.8"],
+             "exterior": ["--ref-x", "3", "--ref-y", "-1"],
+             "side-2.5": ["--side", "2.5", "--ref-x", "2", "--ref-y", "1.5"]}
+    RUNS = {"simulate": ["--duration", "2000", "--seed", "5"],
+            "baseline": ["--n", "3000", "--seed", "5"]}
+
+    def tables(self, tmp_path, node, command, run):
+        cdf, table = str(tmp_path / "cdf.csv"), str(tmp_path / f"{command}.csv")
+        assert main(["distance-cdf", *node, "--out", cdf]) == 0
+        assert main([command, *node, *run, "--out", table]) == 0
+        assert_ecdf_table(table)
+        return cdf, table
+
+    @pytest.mark.parametrize("command", RUNS)
+    @pytest.mark.parametrize("node", NODES)
+    def test_d_column_is_distance_cdfs(self, tmp_path, node, command):
+        cdf, table = self.tables(tmp_path, self.NODES[node], command, self.RUNS[command])
+        assert d_column(table)[1:] == d_column(cdf)[1:]
+
+    def test_compare_prints_the_largest_row_gap(self, tmp_path, capsys):
+        cdf, table = self.tables(tmp_path, self.NODES["interior"], "simulate",
+                                 ["--duration", "20000", "--seed", "8"])
+        (_, analytic), (_, empirical) = read_csv(cdf), read_csv(table)
+        assert analytic[:, 0].tobytes() == empirical[:, 0].tobytes()
+        gap = np.abs(analytic[:, 1] - empirical[:, 1])
+        k = int(np.argmax(gap))
+        capsys.readouterr()
+        main(["compare", cdf, table])
+        assert capsys.readouterr().out.splitlines()[:2] == [f"ks_statistic={gap[k]:.17g}",
+                                                            f"max_gap_at_d={analytic[k, 0]:.17g}"]
+
+    def test_distance_beyond_d_max_ends_the_table(self, tmp_path, monkeypatch):
+        # a waypoint may lie up to 1e-12 * side outside the cell, and so be
+        # farther from the node than d_max
+        uniform = sim.uniform_node_distances
+        far = []
+
+        def one_beyond(region, ref, n, rng):
+            dists = uniform(region, ref, n, rng)
+            dists[0] = region.distance_extremes(ref)[1] * (1 + 1e-13)
+            far.append(float(dists[0]))
+            return dists
+
+        monkeypatch.setattr(sim, "uniform_node_distances", one_beyond)
+        cdf, table = self.tables(tmp_path, self.NODES["interior"], "baseline",
+                                 ["--n", "100", "--seed", "2"])
+        assert d_column(table)[:-1] == d_column(cdf)[:-1]
+        _, data = read_csv(table)
+        assert data[-1, 0] == far[0] > read_csv(cdf)[1][-1, 0]
+        assert data[-2, 1] < data[-1, 1] == 1.0
 
 
 class TestCompareCommand:
@@ -510,9 +576,9 @@ class TestLoadedModules:
     """A process loads only the modules its command runs."""
 
     CLI = {"rwphex", "rwphex.cli"}
-    SIM = CLI | {"rwphex._fmt", "rwphex.hexgeom", "rwphex.piecewise", "rwphex.sim"}
-    ANALYTIC = CLI | {"fractions", "rwphex._fmt", "rwphex.distance", "rwphex.hexgeom",
-                      "rwphex.marginals", "rwphex.piecewise"}
+    SIM = CLI | {"rwphex.hexgeom", "rwphex.piecewise", "rwphex.sim"}
+    ANALYTIC = CLI | {"fractions", "rwphex.distance", "rwphex.hexgeom", "rwphex.marginals",
+                      "rwphex.piecewise"}
     NODE = ["--ref-x", "1", "--ref-y", "0.8"]
 
     def test_package_loads_no_submodule(self):
@@ -572,20 +638,20 @@ PINNED_RUNS = {
                   "command=distance-cdf\ngrid_n=12\nref_x=3.0\nref_y=3.0\nside=2.0\n"),
     "simulate": (["simulate", "--ref-x", "1", "--ref-y", "0.8", "--duration", "500",
                   "--seed", "77"],
-                 "33b56732268b6fe60c94aea01c07b8fc11075767973f24ea6ffcd9e3cc859668",
+                 "5f297c4a5fcde0e595763331d86620145777de0b1843256c821d4cc7aa1afb1e",
                  "command=simulate\ndt=1.0\nduration=500.0\nlegs=14\nref_x=1.0\nref_y=0.8\n"
                  "samples=501\nseed=77\nside=1.0\nv_max=0.05\nv_min=0.01\n"),
     "baseline": (["baseline", "--ref-x", "1", "--ref-y", "0.8", "--n", "1000", "--seed", "3"],
-                 "ab930bf196eb6551573a6136e9c9ff34dbc2e2d7e92be9c73b84fe1a8acd1943",
+                 "e9c52c167d00b6bc4a05f39002305a57610a2219360299d21a96b6f6770ceb9e",
                  "command=baseline\nn=1000\nref_x=1.0\nref_y=0.8\nseed=3\nside=1.0\n"),
-    # a tenth of the benchmark's table sizes: many write blocks each
+    # longer runs: several sample blocks each
     "simulate-1e5": (["simulate", "--ref-x", "0", "--ref-y", "0", "--duration", "100000",
                       "--seed", "19"],
-                     "2948e631dd2248c0c6e99384463113bff885b5aea136f420823f26797037ec4b",
+                     "f5db4471cd7ece91a58a1b90c884632a9ecc34b2d28d30e87bd5a9a45ebabe09",
                      "command=simulate\ndt=1.0\nduration=100000.0\nlegs=2981\nref_x=0.0\n"
                      "ref_y=0.0\nsamples=100001\nseed=19\nside=1.0\nv_max=0.05\nv_min=0.01\n"),
     "baseline-1e5": (["baseline", "--ref-x", "0", "--ref-y", "0", "--n", "100000", "--seed", "19"],
-                     "f90d402223c87ddcbb0cf8e6c5d750228c4858650b54582b092f97082d442d55",
+                     "c78521020541017fdb15a2aa621814b4cee1754a24e31096d9c36a904fd17dd9",
                      "command=baseline\nn=100000\nref_x=0.0\nref_y=0.0\nseed=19\nside=1.0\n"),
 }
 
@@ -614,8 +680,8 @@ def test_compare_output_pinned(pinned_outputs, capsys):
     rc = main(["compare", str(pinned_outputs / "cdf-inner.csv"),
                str(pinned_outputs / "simulate.csv")])
     assert rc == 1
-    assert capsys.readouterr().out == ("ks_statistic=0.086660681431026565\n"
-                                       "max_gap_at_d=0.54996007609053887\n"
+    assert capsys.readouterr().out == ("ks_statistic=0.084738794769903425\n"
+                                       "max_gap_at_d=0.54745017462292911\n"
                                        "threshold=0.050000000000000003\n"
                                        "result=fail\n")
 
@@ -630,30 +696,35 @@ def traced_peak(argv):
 
 
 class TestPeakMemory:
-    """simulate holds the trace, then the sorted distances and the table's two
-    columns; compare holds each table's two columns, the grid and the gap."""
+    """simulate holds the trace and the distances, then the distances and
+    their sorted copy; compare holds each table's two columns, the grid and
+    the gap."""
 
     SAMPLES = 200_001
 
     @pytest.fixture(scope="class")
     def tables(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("peak")
-        sim_csv, cdf_csv = str(out / "sim.csv"), str(out / "cdf.csv")
+        sim_csv, cdf_csv, long_csv = (str(out / f"{name}.csv") for name in ("sim", "cdf", "long"))
         ref = ["--ref-x", "0", "--ref-y", str(SQRT3 / 2)]
         assert main(["distance-cdf", *ref, "--out", cdf_csv]) == 0
         rc, peak = traced_peak(["simulate", *ref, "--duration", str(self.SAMPLES - 1),
                                 "--seed", "11", "--out", sim_csv])
         assert rc == 0
-        return cdf_csv, sim_csv, peak
+        # a d,ecdf table with one row per sample, as a user's own table may have
+        d = np.sort(np.random.default_rng(11).uniform(0.0, 2.0, self.SAMPLES))
+        _write_csv(long_csv, ("d", "ecdf"), d, np.arange(1, self.SAMPLES + 1) / self.SAMPLES)
+        return cdf_csv, long_csv, peak
 
     def test_simulate_per_sample(self, tables):
         peak = tables[2]
         assert peak <= 40 * self.SAMPLES, f"{peak / self.SAMPLES:.1f} B/sample"
 
     def test_compare_per_row(self, tables, capsys):
-        cdf_csv, sim_csv, _ = tables
-        with open(sim_csv) as fh:
+        cdf_csv, long_csv, _ = tables
+        with open(long_csv) as fh:
             rows = sum(1 for _ in fh) - 1
-        rc, peak = traced_peak(["compare", cdf_csv, sim_csv])
+        assert rows == self.SAMPLES
+        rc, peak = traced_peak(["compare", cdf_csv, long_csv])
         assert rc in (EXIT_OK, EXIT_COMPARE_FAIL), capsys.readouterr().err
         assert peak <= 56 * rows, f"{peak / rows:.1f} B/row"

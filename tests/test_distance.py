@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rwphex as rp
 from rwphex.hexgeom import SQRT3, HexRegion, Point2, RefNode, _unit_extremes
@@ -12,7 +14,8 @@ from rwphex.distance import _BLOCK, _disk_mass, _hexagon_mass
 from rwphex.marginals import _unit_tables
 from rwphex.piecewise import PiecewisePolynomial
 
-from conftest import mc_distance_cdf, quad_distance_cdf, run_fresh
+from conftest import (PROPERTY, hexagon_disk_area, mc_distance_cdf, quad_distance_cdf,
+                      run_fresh)
 
 CENTER = RefNode(Point2(1.0, SQRT3 / 2))
 ORIGIN = RefNode(Point2(0.0, 0.0))
@@ -426,3 +429,52 @@ class TestNonFiniteInput:
     def test_tiny_scale_returns(self):
         got = float(run_bounded("rp.distance_cdf(RefNode(Point2(0.0, 0.0)), 1e-200, 1e-200)"))
         assert got == pytest.approx(rp.distance_cdf(ORIGIN, 1.0, 1.0), abs=1e-12)
+
+
+def unit_density_mass(x1, y1, d):
+    """``_disk_mass`` under the unit density: ``_slice_mass`` replaced by each
+    slice's length ye - ys, so the mass is the area of hexagon ∩ disk."""
+    def slice_length(x, ylo, yhi):
+        ye, ys = distance._slice_ends(x, ylo, yhi)
+        return ye - ys
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_slice_mass", slice_length)
+        return _disk_mass(x1, y1, d)[0]
+
+
+class TestClosedFormArea:
+    """The integrand's cut geometry against the exact area of hexagon ∩ disk."""
+
+    def test_oracle_known_areas(self):
+        assert hexagon_disk_area(1.0, SQRT3 / 2, 0.5) == pytest.approx(math.pi / 4, abs=1e-15)
+        # the cell's angle at a vertex is 120 degrees
+        assert hexagon_disk_area(0.0, SQRT3 / 2, 0.25) == pytest.approx(math.pi / 48, abs=1e-15)
+        assert hexagon_disk_area(3.0, 3.0, 10.0) == pytest.approx(3 * SQRT3 / 2, abs=1e-15)
+        assert hexagon_disk_area(3.0, 3.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_hexagon_area(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_slice_mass", lambda x, ylo, yhi: np.subtract(
+                *distance._slice_ends(x, ylo, yhi)))
+            # the cached mass is the product density's; this one is computed afresh
+            area = _hexagon_mass.__wrapped__()
+        assert area == pytest.approx(3 * SQRT3 / 2, abs=1e-14)
+
+    @staticmethod
+    def assert_matches(x1, y1):
+        _, d_min, d_max = _unit_extremes(RefNode(Point2(x1, y1)), 1.0)
+        d = np.linspace(d_min, 1.25 * d_max, 101)
+        d = d[d > 0]
+        expected = np.array([hexagon_disk_area(x1, y1, r) for r in d.tolist()])
+        assert np.abs(unit_density_mass(x1, y1, d) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", PAPER_NODES)
+    def test_paper_nodes(self, name):
+        self.assert_matches(*PAPER_NODES[name].pos)
+
+    @settings(PROPERTY, max_examples=250)
+    @given(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0))
+    @example(1.0, -1.0)  # the first d is tangent to the bottom edge
+    def test_any_node(self, x1, y1):
+        self.assert_matches(x1, y1)

@@ -457,15 +457,15 @@ class TestEmpiricalCdf:
             rp.ecdf(samples)
 
     def test_matches_cli_table(self):
-        # steps() gives the CLI's d,ecdf rows: ties and a signed-zero pair
-        # each make one row, and each row is the ecdf at its value, bit for bit
+        # the CLI's d,ecdf rows are the ecdf on a grid: at a tie it counts
+        # every copy, the signed zeros are one value, and the largest sample
+        # gives exactly 1
         samples = np.array([0.3, 0.1, 0.3, 0.2, 0.3, 0.1, -0.0, 0.0])
         emp = rp.ecdf(samples)
-        values, frac = emp.steps()
-        assert values.tolist() == [0.0, 0.1, 0.2, 0.3] and frac[-1] == 1.0
-        assert emp(values).tobytes() == frac.tobytes()
-        # of the signed zeros, the first in sorted order stands for the value
-        assert math.copysign(1.0, values[0]) == math.copysign(1.0, emp.sorted_samples[0])
+        grid = np.array([-0.1, -0.0, 0.0, 0.1, 0.15, 0.2, 0.3, 0.4])
+        expected = np.array([0, 2, 2, 4, 4, 5, 8, 8]) / 8
+        assert emp(grid).tobytes() == expected.tobytes()
+        assert emp(grid[-2]) == 1.0 and emp(math.nextafter(0.3, 0.0)) == 5 / 8
 
     def test_dkw_bound(self):
         rng = np.random.default_rng(55)
